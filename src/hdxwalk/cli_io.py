@@ -3,8 +3,9 @@
 Complex files are plain text: a ``dim <d>`` header, then one facet per
 line as whitespace-separated vertex ids with an optional trailing weight
 (all facets weighted or none); ``#`` starts a comment.  Cochain files look
-the same with a mandatory trailing value and unlisted faces defaulting to
-zero.  Both formats round-trip bit-faithfully through ``repr`` floats.
+the same with a mandatory trailing value, each face at most once, and
+unlisted faces defaulting to zero.  Weights and values must be finite.
+Both formats round-trip bit-faithfully through ``repr`` floats.
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ def parse_complex(text):
                 wt = float(parts[-1])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad weight {parts[-1]!r}") from None
+            if not np.isfinite(wt):
+                raise ParseError(f"line {lineno}: non-finite weight {parts[-1]!r}")
             parts = parts[:-1]
         else:
             raise ParseError(
@@ -121,6 +124,7 @@ def parse_cochain(text, X):
     if not -1 <= k <= X.top_dim:
         raise ParseError(f"cochain dimension {k} out of range for the complex")
     vals = np.zeros(X.n_faces(k))
+    seen = set()
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != k + 2:
@@ -132,11 +136,17 @@ def parse_cochain(text, X):
             value = float(parts[-1])
         except ValueError:
             raise ParseError(f"line {lineno}: malformed entry") from None
+        if not np.isfinite(value):
+            raise ParseError(f"line {lineno}: non-finite value {parts[-1]!r}")
         try:
             face = canonical_face(ids)
-            vals[X.index_of(face)] = value
+            pos = X.index_of(face)
         except ComplexError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
+        if pos in seen:
+            raise ParseError(f"line {lineno}: duplicate face {face}")
+        seen.add(pos)
+        vals[pos] = value
     return Cochain(X, k, vals)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex_core import ComplexError, canonical_face
+from .complex_core import ComplexError, _cached_op, canonical_face
 
 __all__ = [
     "Cochain",
@@ -121,10 +121,9 @@ def identity_op(X, k) -> LinOp:
 
 def weight_vector(X, k) -> np.ndarray:
     """Face weights of dimension ``k`` in canonical order (sums to 1)."""
-    key = ("weights", k)
-    if key not in X._cache:
-        X._cache[key] = np.array([X.weight[f] for f in X.faces(k)])
-    return X._cache[key]
+    return _cached_op(
+        X, ("weights", k), lambda: np.array([X.weight[f] for f in X.faces(k)])
+    )
 
 
 def _same_space(X, f: Cochain):
@@ -175,12 +174,6 @@ def localize(X, f: Cochain, sigma, link=None) -> Cochain:
     for pos, tau in enumerate(link.faces(j)):
         vals[pos] = f.values[X.index_of(canonical_face(sigma + tau))]
     return Cochain(link, j, vals)
-
-
-def _cached_op(X, key, builder) -> LinOp:
-    if key not in X._cache:
-        X._cache[key] = builder()
-    return X._cache[key]
 
 
 def diff(X, k) -> LinOp:

@@ -7,9 +7,9 @@ dimension from -1 (the empty face) up to ``d``.  Facet weights are
 normalized to sum to 1 and propagated downward by averaged containment
 counts, so the weights of each dimension form a probability distribution.
 
-Instances are immutable after construction and safe to share across
-threads; derived data (links, operator matrices, spectra) is memoized on
-the instance by the other modules.
+Instances are immutable after construction.  Derived data (links,
+operator matrices, spectra, level bases) is memoized on the instance
+through :func:`_cached_op`, without a lock.
 """
 
 from __future__ import annotations
@@ -196,6 +196,14 @@ def build_complex(facets, facet_weights=None):
     return PureComplex(d, faces_by_dim, weight)
 
 
+def _cached_op(X, key, builder):
+    """``builder()``, computed once per complex and key and kept in
+    ``X._cache``; the one memo mechanism of the package."""
+    if key not in X._cache:
+        X._cache[key] = builder()
+    return X._cache[key]
+
+
 def link_of(X, sigma):
     """Link of ``sigma``: the complex of ``t - sigma`` for faces ``t`` over it.
 
@@ -211,27 +219,25 @@ def link_of(X, sigma):
     i = len(sigma) - 1
     if i >= X.top_dim:
         raise ComplexError(f"link of top-dimensional face {sigma} is empty")
-    cache = X._cache.setdefault("links", {})
-    if sigma in cache:
-        return cache[sigma]
 
-    d_link = X.top_dim - i - 1
-    sset = set(sigma)
-    w_sigma = X.weight[sigma]
-    faces_by_dim = {}
-    weight = {}
-    for j in range(-1, d_link + 1):
-        denom = math.comb(i + j + 2, i + 1) * w_sigma
-        lst = []
-        for tau in X.faces(i + j + 1):
-            if sset <= set(tau):
-                rho = tuple(v for v in tau if v not in sset)
-                lst.append(rho)
-                weight[rho] = X.weight[tau] / denom
-        faces_by_dim[j] = sorted(lst)
-    link = PureComplex(d_link, faces_by_dim, weight)
-    cache[sigma] = link
-    return link
+    def build():
+        d_link = X.top_dim - i - 1
+        sset = set(sigma)
+        w_sigma = X.weight[sigma]
+        faces_by_dim = {}
+        weight = {}
+        for j in range(-1, d_link + 1):
+            denom = math.comb(i + j + 2, i + 1) * w_sigma
+            lst = []
+            for tau in X.faces(i + j + 1):
+                if sset <= set(tau):
+                    rho = tuple(v for v in tau if v not in sset)
+                    lst.append(rho)
+                    weight[rho] = X.weight[tau] / denom
+            faces_by_dim[j] = sorted(lst)
+        return PureComplex(d_link, faces_by_dim, weight)
+
+    return _cached_op(X, ("link", sigma), build)
 
 
 def skeleton_of(X, i):

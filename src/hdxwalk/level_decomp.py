@@ -7,11 +7,11 @@ of dimension) and localization (``f_s(t) = f(s | t)``, dimension drops by
 ``dim(s) + 1``).
 
 A k-cochain is *i-level* (localization viewer) when its viewed mean
-vanishes at every (i-1)-face; equivalently it lies in the kernel of the
-adjoint chain ``d*_{i-1} ... d*_{k-1}``.  Level spaces are nested downward,
-so splitting each level against the next gives an orthogonal decomposition
-``f = f_{-1} + f_0 + ... + f_k`` into proper level components, with the
-constant part at level -1.
+vanishes at every (i-1)-face; equivalently it is W-orthogonal to the range
+``R_{i-1}`` of the lift ``multi_up(X, i-1, k-i+1)``.  These ranges form a
+flag ``R_{-1} <= R_0 <= ... <= R_{k-1}`` (``R_{-1}`` the constants), so one
+block Gram-Schmidt over it gives every proper level ``R_i - R_{i-1}`` and
+the orthogonal decomposition ``f = f_{-1} + f_0 + ... + f_k``.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex_core import ComplexError, link_of
+from .complex_core import ComplexError, _cached_op, link_of
 from .cochain_ops import (
     Cochain,
     inner_product,
     localize,
-    multi_down,
     multi_up,
     nonlazy,
     norm_sq,
@@ -50,8 +49,6 @@ __all__ = [
     "restriction_level_space",
     "view",
 ]
-
-KERNEL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -131,43 +128,57 @@ class LevelBasis:
     def dimension(self):
         return self.vectors.shape[1]
 
-    def cochains(self, X):
-        return [Cochain(X, self.k, self.vectors[:, c]) for c in range(self.dimension)]
+
+def _range_basis(A, Q):
+    """Orthonormal basis of the part of range(A) orthogonal to the
+    orthonormal columns Q: project A off Q twice (once leaves rounding in
+    proportion to A), one thin SVD, rank cut relative to A's own norm."""
+    tol = max(A.shape) * np.finfo(float).eps * np.linalg.norm(A)
+    for _ in range(2):
+        A = A - Q @ (Q.T @ A)
+    u, sv, _ = np.linalg.svd(A, full_matrices=False)
+    return u[:, sv > tol]
 
 
-def _orthonormalize(B, w):
-    """W-orthonormalize the columns of B (assumed independent)."""
-    if B.shape[1] == 0:
-        return B
-    G = B.T @ (w[:, None] * B)
-    L = np.linalg.cholesky(G)
-    return B @ np.linalg.inv(L).T
+def _complement(Q):
+    """Orthonormal basis of the orthogonal complement of range(Q)."""
+    return np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]
 
 
-def _kernel_basis(A, w, tol=KERNEL_TOL):
-    """W-orthonormal basis of ker(A); singular values below tol are zero."""
-    n = A.shape[1]
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > tol))
-    B = vh[rank:].T
-    if B.shape[1] == 0:
-        return np.zeros((n, 0))
-    return _orthonormalize(B, w)
+def _proper_bases(X, k):
+    """Read-only W-orthonormal bases of the proper levels -1..k, by level.
+
+    In ``sqrt(w)``-scaled coordinates level i < k is the new part of the
+    lift block ``multi_up(X, i, k-i)`` and level k the complement of all
+    blocks.  The lifts are uniform averages, so no rank depends on weights.
+    """
+    if not -1 <= k <= X.top_dim:
+        raise ComplexError(f"level bases need -1 <= k <= {X.top_dim}, got {k}")
+
+    def build():
+        s = np.sqrt(weight_vector(X, k))[:, None]
+        Q = np.zeros((len(s), 0))
+        bases = {}
+        for i in range(-1, k):
+            bases[i] = _range_basis(s * multi_up(X, i, k - i).matrix, Q)
+            Q = np.hstack([Q, bases[i]])
+        bases[k] = _complement(Q)
+        for i, B in bases.items():
+            bases[i] = B / s
+            bases[i].flags.writeable = False
+        return bases
+
+    return _cached_op(X, ("proper_bases", k), build)
 
 
 def level_space(X, k, i) -> LevelBasis:
-    """i-level k-cochains under localization, as the kernel of the adjoint
-    chain ``d*_{i-1} ... d*_{k-1}`` (one nullspace computation instead of
-    per-face constraints; the constraint form is kept in
-    :func:`level_constraint_matrix` as a cross-check)."""
+    """i-level k-cochains under localization: the proper levels i..k, which
+    span the W-complement of the lift from the (i-1)-faces (cross-checked by
+    :func:`level_constraint_matrix`)."""
     if not 0 <= i <= k <= X.top_dim:
         raise ComplexError(f"level_space needs 0 <= i <= k <= {X.top_dim}")
-    key = ("level_space", k, i)
-    if key not in X._cache:
-        A = multi_down(X, i - 1, k - i + 1).matrix
-        w = weight_vector(X, k)
-        X._cache[key] = LevelBasis(k, i, _kernel_basis(A, w))
-    return X._cache[key]
+    bases = _proper_bases(X, k)
+    return LevelBasis(k, i, np.hstack([bases[j] for j in range(i, k + 1)]))
 
 
 def level_constraint_matrix(X, k, i) -> np.ndarray:
@@ -193,46 +204,28 @@ def level_constraint_matrix(X, k, i) -> np.ndarray:
 def restriction_level_space(X, i) -> LevelBasis:
     """i-level vertex cochains under restriction (k = 0 only; this is all
     the trickling-down argument needs).  Level 0 is the mean-zero space,
-    level 1 the kernel of the non-lazy vertex walk."""
+    level 1 the kernel of the non-lazy vertex walk, the W-complement of its
+    range."""
     if i not in (0, 1):
         raise ComplexError("restriction level spaces are implemented for i in {0, 1}")
-    w = weight_vector(X, 0)
-    if i == 0:
-        A = w[None, :]
-    else:
-        A = w[:, None] * nonlazy(X, 0).matrix
-    return LevelBasis(0, i, _kernel_basis(A, w))
+    s = np.sqrt(weight_vector(X, 0))[:, None]
+    A = s if i == 0 else s * nonlazy(X, 0).matrix
+    Q = _range_basis(A, np.zeros((len(s), 0)))
+    return LevelBasis(0, i, _complement(Q) / s)
 
 
 def level_projector(X, k, i) -> np.ndarray:
     """Matrix of the W-orthogonal projection onto the i-level space."""
-    key = ("level_projector", k, i)
-    if key not in X._cache:
-        B = level_space(X, k, i).vectors
-        w = weight_vector(X, k)
-        X._cache[key] = B @ (B.T * w[None, :])
-    return X._cache[key]
+    B = level_space(X, k, i).vectors
+    return B @ (B.T * weight_vector(X, k)[None, :])
 
 
 def proper_level_basis(X, k, i) -> np.ndarray:
     """W-orthonormal basis of the proper i-level space (i-level and
-    orthogonal to the (i+1)-level space)."""
-    w = weight_vector(X, k)
-    if i == -1:
-        ones = np.ones((X.n_faces(k), 1))
-        return _orthonormalize(ones, w)
-    B = level_space(X, k, i).vectors
-    if i + 1 <= k:
-        B = B - level_projector(X, k, i + 1) @ B
-    if B.shape[1] == 0:
-        return B
-    # drop the directions swallowed by the higher level
-    G = B.T @ (w[:, None] * B)
-    vals, vecs = np.linalg.eigh(G)
-    keep = vals > KERNEL_TOL
-    if not np.any(keep):
-        return np.zeros((B.shape[0], 0))
-    return B @ (vecs[:, keep] / np.sqrt(vals[keep])[None, :])
+    orthogonal to the (i+1)-level space); level -1 is the constants."""
+    if not -1 <= i <= k:
+        raise ComplexError(f"proper levels of {k}-cochains run -1..{k}, got {i}")
+    return _proper_bases(X, k)[i]
 
 
 @dataclass(frozen=True)
@@ -244,29 +237,25 @@ class LevelDecomposition:
     norms_sq: dict
 
     def reconstruction(self):
-        total = None
-        for f in self.components.values():
-            total = f.values if total is None else total + f.values
-        return total
+        return sum(f.values for f in self.components.values())
 
 
 def proper_decompose(X, f: Cochain) -> LevelDecomposition:
     """Split a k-cochain into proper level components, top level first.
 
-    Working downward, each component is the i-level projection of what the
-    higher levels have not claimed yet, which keeps the pieces orthogonal
-    by construction; the remainder is the constant part.
+    Component i is ``B_i B_i^T W f`` for the W-orthonormal proper basis
+    ``B_i``; the constant part is what the levels 0..k leave over, so the
+    components sum to ``f`` exactly.
     """
     k = f.dim
-    if k > X.top_dim:
-        raise ComplexError(f"cochain dimension {k} exceeds top dimension")
+    bases = _proper_bases(X, k)
+    wf = weight_vector(X, k) * f.values
     components = {}
     residual = f.values.copy()
     for i in range(k, -1, -1):
-        P = level_projector(X, k, i)
-        vals = P @ residual
+        vals = bases[i] @ (bases[i].T @ wf)
         components[i] = Cochain(X, k, vals)
-        residual = residual - vals
+        residual -= vals
     components[-1] = Cochain(X, k, residual)
     norms_sq = {i: norm_sq(X, g) for i, g in components.items()}
     return LevelDecomposition(components, norms_sq)

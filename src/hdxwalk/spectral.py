@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex_core import ComplexError, link_of
+from .complex_core import ComplexError, _cached_op, link_of
 from .cochain_ops import LinOp, nonlazy, weight_vector
 
 __all__ = [
@@ -149,41 +149,39 @@ def is_connected(X) -> bool:
 def lambda2_skeleton(X) -> float:
     """Second-largest eigenvalue of the non-lazy vertex walk on the
     1-skeleton.  Requires dimension >= 1 and a connected skeleton."""
-    key = "lambda2"
-    if key in X._cache:
-        return X._cache[key]
-    if X.top_dim < 1:
-        raise ComplexError("lambda2 needs a complex of dimension >= 1")
-    if not is_connected(X):
-        raise HypothesisError("1-skeleton is disconnected")
-    spec = selfadjoint_spectrum(X, nonlazy(X, 0))
-    X._cache[key] = spec.second
-    return spec.second
+
+    def build():
+        if X.top_dim < 1:
+            raise ComplexError("lambda2 needs a complex of dimension >= 1")
+        if not is_connected(X):
+            raise HypothesisError("1-skeleton is disconnected")
+        return selfadjoint_spectrum(X, nonlazy(X, 0)).second
+
+    return _cached_op(X, "lambda2", build)
 
 
 def gamma_profile(X) -> GammaProfile:
     """gamma_j = max over j-faces of lambda2 of the face's link, j=-1..d-2."""
-    key = "gamma_profile"
-    if key in X._cache:
-        return X._cache[key]
-    if X.top_dim < 1:
-        raise ComplexError("gamma profile needs dimension >= 1")
-    gamma = {}
-    for j in range(-1, X.top_dim - 1):
-        worst = -np.inf
-        for sigma in X.faces(j):
-            link = link_of(X, sigma)
-            try:
-                val = lambda2_skeleton(link)
-            except HypothesisError:
-                raise HypothesisError(
-                    f"link of {sigma} has a disconnected 1-skeleton"
-                ) from None
-            worst = max(worst, val)
-        gamma[j] = worst
-    profile = GammaProfile(gamma)
-    X._cache[key] = profile
-    return profile
+
+    def build():
+        if X.top_dim < 1:
+            raise ComplexError("gamma profile needs dimension >= 1")
+        gamma = {}
+        for j in range(-1, X.top_dim - 1):
+            worst = -np.inf
+            for sigma in X.faces(j):
+                link = link_of(X, sigma)
+                try:
+                    val = lambda2_skeleton(link)
+                except HypothesisError:
+                    raise HypothesisError(
+                        f"link of {sigma} has a disconnected 1-skeleton"
+                    ) from None
+                worst = max(worst, val)
+            gamma[j] = worst
+        return GammaProfile(gamma)
+
+    return _cached_op(X, "gamma_profile", build)
 
 
 def is_local_spectral_expander(X, lam) -> ExpanderReport:

@@ -59,6 +59,9 @@ def test_parse_complex_errors():
         parse_complex("dim 2\n0 1 x\n")
     with pytest.raises(ParseError, match="non-positive"):
         parse_complex("dim 2\n0 1 2 -1.0\n")
+    for bad in ("nan", "inf", "1e400"):
+        with pytest.raises(ParseError, match="line 3: non-finite weight"):
+            parse_complex(f"dim 2\n0 1 2 0.5\n0 1 3 {bad}\n")
     with pytest.raises(ParseError, match="header"):
         parse_complex("0 1 2\n")
     with pytest.raises(ParseError):
@@ -81,6 +84,11 @@ def test_cochain_defaults_and_errors(c42):
         parse_cochain("dim 1\n0 1\n", c42)
     with pytest.raises(ParseError):
         parse_cochain("dim 5\n", c42)
+    for bad in ("nan", "-inf", "1e400"):
+        with pytest.raises(ParseError, match="line 2: non-finite value"):
+            parse_cochain(f"dim 1\n0 1 {bad}\n", c42)
+    with pytest.raises(ParseError, match=r"line 4: duplicate face \(0, 1\)"):
+        parse_cochain("dim 1\n0 1 1.0\n2 3 2.0\n1 0 5.0\n", c42)
 
 
 # ---------------------------------------------------------------- generate
@@ -216,6 +224,15 @@ def test_cli_exit_codes(tmp_path, c42_file):
     bad.write_text("dim 2\n0 1 2\n0 1 2\n")
     r = run_cli("analyze", str(bad))
     assert r.returncode == 2
+    # usage: non-finite weight, non-finite or repeated cochain entry
+    bad.write_text("dim 2\n0 1 2 nan\n0 1 3 1.0\n")
+    r = run_cli("analyze", str(bad))
+    assert r.returncode == 2 and "line 2" in r.stderr
+    cf = tmp_path / "bad.cf"
+    for body, line in (("0 1 inf\n", 2), ("0 1 1.0\n0 1 5.0\n", 3)):
+        cf.write_text("dim 1\n" + body)
+        r = run_cli("decompose", c42_file, "--cochain", str(cf))
+        assert r.returncode == 2 and f"line {line}" in r.stderr
     # hypothesis failure: disconnected complex
     disc = tmp_path / "disc.cx"
     disc.write_text("dim 2\n0 1 2\n3 4 5\n")

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from hdxwalk import (
     ComplexError,
     LOCALIZATION,
     RESTRICTION,
+    build_complex,
     diff,
     inner_product,
     level_space,
@@ -233,6 +236,20 @@ def test_projector_algebra(all_fixtures):
                 if a != b:
                     assert np.max(np.abs(Pa @ Pb)) <= LEVEL_TOL
         assert np.max(np.abs(total - np.eye(n))) <= LEVEL_TOL
+
+
+def test_proper_bases_under_skewed_weights():
+    # facet weights spread over twelve decades must not change the level
+    # dimensions, which depend only on the face structure, nor break the
+    # W-orthonormality of the combined basis
+    facets = list(combinations(range(12), 4))
+    weights = 10 ** np.random.default_rng(0).uniform(-12, 0, len(facets))
+    for X in (build_complex(facets), build_complex(facets, list(weights))):
+        bases = [proper_level_basis(X, 3, i) for i in range(-1, 4)]
+        assert [B.shape[1] for B in bases] == [1, 11, 54, 154, 275]
+        B = np.hstack(bases)
+        G = B.T @ (weight_vector(X, 3)[:, None] * B)
+        assert np.max(np.abs(G - np.eye(X.n_faces(3)))) <= 1e-12
 
 
 def test_localization_shifts_levels(all_fixtures):
