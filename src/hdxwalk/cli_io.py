@@ -4,12 +4,15 @@ Complex files are plain text: a ``dim <d>`` header, then one facet per
 line as whitespace-separated vertex ids with an optional trailing weight
 (all facets weighted or none); ``#`` starts a comment.  Cochain files look
 the same with a mandatory trailing value, each face at most once, and
-unlisted faces defaulting to zero.  Weights and values must be finite.
+unlisted faces defaulting to zero.  Weights and values must be finite;
+weights must also be normal positive floats, at least
+``sys.float_info.min``.
 Both formats round-trip bit-faithfully through ``repr`` floats.
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations, product
 
 import numpy as np
@@ -100,6 +103,8 @@ def parse_complex(text):
         if wt is not None:
             if wt <= 0:
                 raise ParseError(f"line {lineno}: non-positive weight {wt!r}")
+            if wt < sys.float_info.min:
+                raise ParseError(f"line {lineno}: subnormal weight {wt!r}")
             weights.append(wt)
     if not facets:
         raise ParseError("no facets in file")

@@ -10,11 +10,20 @@ counts, so the weights of each dimension form a probability distribution.
 Instances are immutable after construction.  Derived data (links,
 operator matrices, spectra, level bases) is memoized on the instance
 through :func:`_cached_op`, without a lock.
+
+Incidence is read from one structure, the star index: for each vertex
+and dimension, the positions of the faces containing that vertex (the top
+row is the facet star).  It is built once per complex and kept under the
+cache key ``("star",)``.  Every "faces over sigma" query (links, cofaces)
+intersects the stars of sigma's vertices instead of scanning all faces.
+:meth:`PureComplex.validate` and :func:`build_complex` share one
+accumulation of facet weights over the facets' subfaces.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from itertools import combinations
 
 __all__ = [
@@ -99,7 +108,10 @@ class PureComplex:
     def validate(self, tol=WEIGHT_TOL):
         """Check closure, purity, weight normalization and the recursion.
 
-        Raises ComplexError on the first violated invariant.
+        Purity and the recursion are read off one accumulation of the facet
+        weights over the facets' subfaces, the same one
+        :func:`build_complex` uses.  Raises ComplexError on the first
+        violated invariant.
         """
         d = self.top_dim
         for k in range(-1, d + 1):
@@ -109,8 +121,13 @@ class PureComplex:
             for face in lst:
                 if len(face) != k + 1:
                     raise ComplexError(f"face {face} filed under dimension {k}")
-                if self.weight[face] <= 0:
+                if any(a >= b for a, b in zip(face, face[1:])):
+                    raise ComplexError(f"face {face} is not strictly ascending")
+                w = self.weight[face]
+                if w <= 0:
                     raise ComplexError(f"non-positive weight on {face}")
+                if not math.isfinite(w):
+                    raise ComplexError(f"non-finite weight on {face}")
                 if k >= 0:
                     for sub in combinations(face, k):
                         if sub not in self.weight:
@@ -119,11 +136,11 @@ class PureComplex:
                             )
         if abs(self.weight[()] - 1.0) > tol:
             raise ComplexError("weight of the empty face is not 1")
-        top = set(self.facets)
+        top = self.facets
+        over = _subface_sums(top, [self.weight[F] for F in top], d)
         for k in range(-1, d):
             for face in self.faces_by_dim[k]:
-                fset = set(face)
-                if not any(fset <= set(F) for F in top):
+                if face not in over[k]:
                     raise ComplexError(f"purity violated at {face}")
             total = sum(self.weight[f] for f in self.faces_by_dim[k])
             if abs(total - 1.0) > tol:
@@ -134,8 +151,7 @@ class PureComplex:
             for k in range(-1, d):
                 denom = math.comb(d + 1, k + 1)
                 for face in self.faces_by_dim[k]:
-                    fset = set(face)
-                    expect = sum(self.weight[F] for F in top if fset <= set(F)) / denom
+                    expect = over[k][face] / denom
                     if abs(expect - self.weight[face]) > tol:
                         raise ComplexError(f"weight recursion violated at {face}")
         return True
@@ -159,9 +175,10 @@ def build_complex(facets, facet_weights=None):
 
     All facets must have the same dimension ``d`` and be distinct.  When
     ``facet_weights`` is omitted the facets get uniform mass; otherwise the
-    given positive weights are normalized to sum to 1.  Every lower face
-    ``t`` of dimension ``i`` receives
-    ``w(t) = sum(w(F) for facets F containing t) / C(d+1, i+1)``.
+    given finite positive weights are normalized to sum to 1.  Every lower
+    face ``t`` of dimension ``i`` receives
+    ``w(t) = sum(w(F) for facets F containing t) / C(d+1, i+1)``, and every
+    weight must come out a normal float.
     """
     if not facets:
         raise ComplexError("facet list is empty")
@@ -176,24 +193,39 @@ def build_complex(facets, facet_weights=None):
     else:
         if len(facet_weights) != len(canon):
             raise ComplexError("facet_weights length does not match facets")
-        if any(w <= 0 for w in facet_weights):
-            raise ComplexError("facet weights must be positive")
+        if not all(0 < w < math.inf for w in facet_weights):
+            raise ComplexError("facet weights must be finite and positive")
         total = float(sum(facet_weights))
         top_weights = [float(w) / total for w in facet_weights]
 
+    over = _subface_sums(canon, top_weights, d)
     faces_by_dim = {}
     weight = {}
     for k in range(-1, d + 1):
-        acc = {}
-        for F, wF in zip(canon, top_weights):
-            for sub in combinations(F, k + 1):
-                acc[sub] = acc.get(sub, 0.0) + wF
         denom = math.comb(d + 1, k + 1)
-        lst = sorted(acc)
+        lst = sorted(over[k])
         faces_by_dim[k] = lst
         for face in lst:
-            weight[face] = acc[face] / denom
+            weight[face] = over[k][face] / denom
+    if min(weight.values()) < sys.float_info.min:
+        # the facet weights overflowed when summed, or span so many decades
+        # that a normalized weight underflowed
+        raise ComplexError("facet weights out of range: a weight is not a normal float")
     return PureComplex(d, faces_by_dim, weight)
+
+
+def _subface_sums(facets, facet_weights, d):
+    """For each dimension ``k`` in -1..d, every k-subface of ``facets``
+    mapped to the summed weight of the facets containing it, added in facet
+    order.  Its keys are the downward closure of the facets."""
+    over = {}
+    for k in range(-1, d + 1):
+        acc = {}
+        for F, wF in zip(facets, facet_weights):
+            for sub in combinations(F, k + 1):
+                acc[sub] = acc.get(sub, 0.0) + wF
+        over[k] = acc
+    return over
 
 
 def _cached_op(X, key, builder):
@@ -204,12 +236,40 @@ def _cached_op(X, key, builder):
     return X._cache[key]
 
 
+def _star(X):
+    """The star index of ``X``: ``star[v][k]`` lists the ascending positions
+    in ``X.faces(k)`` of the k-faces containing vertex ``v``; its top row
+    ``star[v][X.top_dim]`` is the facet star.  Built once per complex under
+    the cache key ``("star",)``."""
+
+    def build():
+        star = {v: [[] for _ in range(X.top_dim + 1)] for (v,) in X.faces_by_dim[0]}
+        for k in range(X.top_dim + 1):
+            for pos, face in enumerate(X.faces_by_dim[k]):
+                for v in face:
+                    star[v][k].append(pos)
+        return star
+
+    return _cached_op(X, ("star",), build)
+
+
+def _faces_over(X, sigma, k):
+    """The k-faces of ``X`` containing the non-empty face ``sigma``, in
+    canonical order: the intersection of the stars of its vertices."""
+    star = _star(X)
+    rows = sorted((star[v][k] for v in sigma), key=len)
+    common = rows[0] if len(rows) == 1 else sorted(set(rows[0]).intersection(*rows[1:]))
+    faces_k = X.faces_by_dim[k]
+    return [faces_k[pos] for pos in common]
+
+
 def link_of(X, sigma):
     """Link of ``sigma``: the complex of ``t - sigma`` for faces ``t`` over it.
 
     Weights are induced: a ``j``-face ``t`` of the link of an ``i``-face
     weighs ``w(t | sigma) / (C(i+j+2, i+1) * w(sigma))``.  The link of the
-    empty face is the complex itself.
+    empty face is the complex itself.  The faces ``t`` over ``sigma`` come
+    from the star index.
     """
     sigma = canonical_face(sigma)
     if sigma not in X.weight:
@@ -229,11 +289,10 @@ def link_of(X, sigma):
         for j in range(-1, d_link + 1):
             denom = math.comb(i + j + 2, i + 1) * w_sigma
             lst = []
-            for tau in X.faces(i + j + 1):
-                if sset <= set(tau):
-                    rho = tuple(v for v in tau if v not in sset)
-                    lst.append(rho)
-                    weight[rho] = X.weight[tau] / denom
+            for tau in _faces_over(X, sigma, i + j + 1):
+                rho = tuple(v for v in tau if v not in sset)
+                lst.append(rho)
+                weight[rho] = X.weight[tau] / denom
             faces_by_dim[j] = sorted(lst)
         return PureComplex(d_link, faces_by_dim, weight)
 

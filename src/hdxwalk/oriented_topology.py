@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-from .complex_core import ComplexError, canonical_face, link_of
+from .complex_core import ComplexError, _faces_over, canonical_face, link_of
 from .cochain_ops import Cochain, LinOp, inner_product, weight_vector
 
 __all__ = [
@@ -129,11 +130,10 @@ def local_minimality_residuals(X, f: OrientedCochain) -> dict:
         w_sigma = X.weight[sigma]
         acc = 0.0
         sset = set(sigma)
-        for tau in X.faces(k):
-            if sset <= set(tau):
-                (v,) = set(tau) - sset
-                wv = X.weight[tau] / ((k + 1) * w_sigma)
-                acc += wv * f.evaluate(sigma + (v,))
+        for tau in _faces_over(X, sigma, k):
+            (v,) = set(tau) - sset
+            wv = X.weight[tau] / ((k + 1) * w_sigma)
+            acc += wv * f.evaluate(sigma + (v,))
         residuals[sigma] = abs(acc)
     return residuals
 
@@ -196,11 +196,14 @@ def balanced_check(X, S, i) -> BalanceReport:
         raise ComplexError(f"balance level must satisfy -1 <= i < {k}")
     total = sum(X.weight[t] for t in S)
     denom = math.comb(k + 1, i + 1)
+    over = {}  # i-face -> the faces of S containing it, in the order of S
+    for t in S:
+        for sigma in combinations(t, i + 1):
+            over.setdefault(sigma, []).append(t)
     per_face = {}
     for sigma in X.faces(i):
-        sset = set(sigma)
         local = sum(
-            X.weight[t] / (denom * X.weight[sigma]) for t in S if sset <= set(t)
+            X.weight[t] / (denom * X.weight[sigma]) for t in over.get(sigma, ())
         )
         per_face[sigma] = abs(total - local)
     defect = max(per_face.values())

@@ -1,6 +1,16 @@
+import os
+
 import pytest
 
+import hdxwalk
 from hdxwalk import build_complex, generate
+
+# The CLI tests run `python -m hdxwalk.cli` in subprocesses; point them at
+# the package these tests import, also when pytest found it via `pythonpath`.
+_SRC = os.path.dirname(os.path.dirname(hdxwalk.__file__))
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 @pytest.fixture(scope="session")

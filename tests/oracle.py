@@ -10,6 +10,8 @@ from itertools import combinations
 
 import numpy as np
 
+from hdxwalk.complex_core import WEIGHT_TOL, ComplexError, PureComplex, canonical_face
+
 
 def weights_from_facets(facets, facet_weights):
     """Recompute the full weight map straight from the recursion."""
@@ -22,6 +24,72 @@ def weights_from_facets(facets, facet_weights):
             for sub in combinations(F, i + 1):
                 out[sub] = out.get(sub, 0.0) + wF / total / denom
     return out
+
+
+def link_scan(X, sigma):
+    """Link of ``sigma`` by scanning every face of ``X`` for those over it,
+    uncached: the second route for ``link_of``, which reads the star index."""
+    sigma = canonical_face(sigma)
+    i = len(sigma) - 1
+    d_link = X.top_dim - i - 1
+    sset = set(sigma)
+    w_sigma = X.weight[sigma]
+    faces_by_dim = {}
+    weight = {}
+    for j in range(-1, d_link + 1):
+        denom = math.comb(i + j + 2, i + 1) * w_sigma
+        lst = []
+        for tau in X.faces(i + j + 1):
+            if sset <= set(tau):
+                rho = tuple(v for v in tau if v not in sset)
+                lst.append(rho)
+                weight[rho] = X.weight[tau] / denom
+        faces_by_dim[j] = sorted(lst)
+    return PureComplex(d_link, faces_by_dim, weight)
+
+
+def validate_scan(X, tol=WEIGHT_TOL):
+    """``PureComplex.validate`` with its purity and recursion checks done by
+    scanning every facet for every face.  Same checks, order and messages,
+    less the finiteness and ascending-tuple checks of ``validate``."""
+    d = X.top_dim
+    for k in range(-1, d + 1):
+        lst = X.faces_by_dim[k]
+        if sorted(lst) != list(lst):
+            raise ComplexError(f"faces of dimension {k} are not sorted")
+        for face in lst:
+            if len(face) != k + 1:
+                raise ComplexError(f"face {face} filed under dimension {k}")
+            if X.weight[face] <= 0:
+                raise ComplexError(f"non-positive weight on {face}")
+            if k >= 0:
+                for sub in combinations(face, k):
+                    if sub not in X.weight:
+                        raise ComplexError(
+                            f"closure violated: {sub} missing under {face}"
+                        )
+    if abs(X.weight[()] - 1.0) > tol:
+        raise ComplexError("weight of the empty face is not 1")
+    top = set(X.facets)
+    for k in range(-1, d):
+        for face in X.faces_by_dim[k]:
+            fset = set(face)
+            if not any(fset <= set(F) for F in top):
+                raise ComplexError(f"purity violated at {face}")
+        total = sum(X.weight[f] for f in X.faces_by_dim[k])
+        if abs(total - 1.0) > tol:
+            raise ComplexError(f"weights of dimension {k} sum to {total!r}, not 1")
+    if abs(sum(X.weight[f] for f in top) - 1.0) > tol:
+        raise ComplexError("facet weights do not sum to 1")
+    if X.from_facets:
+        for k in range(-1, d):
+            denom = math.comb(d + 1, k + 1)
+            for face in X.faces_by_dim[k]:
+                fset = set(face)
+                expect = sum(X.weight[F] for F in top if fset <= set(F)) / denom
+                if abs(expect - X.weight[face]) > tol:
+                    raise ComplexError(f"weight recursion violated at {face}")
+    return True
 
 
 def link_weight(X, sigma, rho):

@@ -62,6 +62,11 @@ def test_parse_complex_errors():
     for bad in ("nan", "inf", "1e400"):
         with pytest.raises(ParseError, match="line 3: non-finite weight"):
             parse_complex(f"dim 2\n0 1 2 0.5\n0 1 3 {bad}\n")
+    for bad in ("1e-320", "2.2e-308"):
+        with pytest.raises(ParseError, match="line 3: subnormal weight"):
+            parse_complex(f"dim 2\n0 1 2 0.5\n0 1 3 {bad}\n")
+    with pytest.raises(ParseError, match="not a normal float"):
+        parse_complex("dim 2\n0 1 2 1e-200\n0 1 3 1e200\n")
     with pytest.raises(ParseError, match="header"):
         parse_complex("0 1 2\n")
     with pytest.raises(ParseError):
@@ -224,10 +229,11 @@ def test_cli_exit_codes(tmp_path, c42_file):
     bad.write_text("dim 2\n0 1 2\n0 1 2\n")
     r = run_cli("analyze", str(bad))
     assert r.returncode == 2
-    # usage: non-finite weight, non-finite or repeated cochain entry
-    bad.write_text("dim 2\n0 1 2 nan\n0 1 3 1.0\n")
-    r = run_cli("analyze", str(bad))
-    assert r.returncode == 2 and "line 2" in r.stderr
+    # usage: non-finite or subnormal weight, non-finite or repeated cochain entry
+    for weight in ("nan", "1e-320"):
+        bad.write_text(f"dim 2\n0 1 2 {weight}\n0 1 3 1.0\n")
+        r = run_cli("analyze", str(bad))
+        assert r.returncode == 2 and "line 2" in r.stderr
     cf = tmp_path / "bad.cf"
     for body, line in (("0 1 inf\n", 2), ("0 1 1.0\n0 1 5.0\n", 3)):
         cf.write_text("dim 1\n" + body)

@@ -1,6 +1,8 @@
 import math
+import re
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import oracle
@@ -8,9 +10,11 @@ from hdxwalk import (
     ComplexError,
     build_complex,
     faces,
+    generate,
     link_of,
     skeleton_of,
 )
+from hdxwalk.complex_core import PureComplex
 
 TOL = 1e-12
 
@@ -70,6 +74,90 @@ def test_recursive_consistency_every_dimension(all_fixtures):
 def test_validate_passes(all_fixtures):
     for _, X in all_fixtures:
         assert X.validate()
+        assert oracle.validate_scan(X)
+
+
+def _two_triangles_with(change):
+    """Two triangles on (0,1,2), (1,2,3), built directly after ``change``
+    edits copies of their face lists and weights."""
+    X = build_complex([(0, 1, 2), (1, 2, 3)])
+    faces_by_dim = {k: list(lst) for k, lst in X.faces_by_dim.items()}
+    weight = dict(X.weight)
+    change(faces_by_dim, weight)
+    return PureComplex(X.top_dim, faces_by_dim, weight)
+
+
+def _drop_facet(faces_by_dim, weight):
+    faces_by_dim[2].remove((1, 2, 3))
+    del weight[(1, 2, 3)]
+
+
+def _drop_edge(faces_by_dim, weight):
+    faces_by_dim[1].remove((1, 3))
+    del weight[(1, 3)]
+
+
+def _perturb_edges(faces_by_dim, weight):
+    weight[(0, 1)] += 1e-6
+    weight[(0, 2)] -= 1e-6
+
+
+def _unsort_edges(faces_by_dim, weight):
+    faces_by_dim[1].reverse()
+
+
+def _misfile_triangle(faces_by_dim, weight):
+    faces_by_dim[1].append((2, 3, 4))
+
+
+def _halve_empty_face(faces_by_dim, weight):
+    weight[()] = 0.5
+
+
+def _double_vertex(faces_by_dim, weight):
+    weight[(0,)] *= 2
+
+
+BROKEN = [
+    (_drop_facet, "purity violated at (3,)"),
+    (_drop_edge, "closure violated: (1, 3) missing under (1, 2, 3)"),
+    (_perturb_edges, "weight recursion violated at (0, 1)"),
+    (_unsort_edges, "faces of dimension 1 are not sorted"),
+    (_misfile_triangle, "face (2, 3, 4) filed under dimension 1"),
+    (_halve_empty_face, "weight of the empty face is not 1"),
+    (_double_vertex, "weights of dimension 0 sum to "),
+]
+
+
+@pytest.mark.parametrize("change, message", BROKEN)
+def test_validate_rejects_broken(change, message):
+    with pytest.raises(ComplexError, match=re.escape(message)):
+        _two_triangles_with(change).validate()
+
+
+@pytest.mark.parametrize("change, message", BROKEN)
+def test_validate_scan_agrees_on_broken(change, message):
+    with pytest.raises(ComplexError, match=re.escape(message)):
+        oracle.validate_scan(_two_triangles_with(change))
+
+
+def test_validate_rejects_non_finite_weights_and_unordered_faces():
+    # the complex the weight recursion makes from facet weights [nan, 1.0]
+    X = build_complex([(0, 1, 2), (1, 2, 3)])
+    nan_weights = {face: math.nan for face in X.weight}
+    with pytest.raises(ComplexError, match=re.escape("non-finite weight on ()")):
+        PureComplex(X.top_dim, X.faces_by_dim, nan_weights).validate()
+    inf_edge = dict(X.weight)
+    inf_edge[(0, 1)] = math.inf
+    with pytest.raises(ComplexError, match=re.escape("non-finite weight on (0, 1)")):
+        PureComplex(X.top_dim, X.faces_by_dim, inf_edge).validate()
+    edge = PureComplex(
+        1,
+        {-1: [()], 0: [(0,), (1,)], 1: [(1, 0)]},
+        {(): 1.0, (0,): 0.5, (1,): 0.5, (1, 0): 1.0},
+    )
+    with pytest.raises(ComplexError, match=re.escape("(1, 0) is not strictly")):
+        edge.validate()
 
 
 def test_build_rejections():
@@ -85,6 +173,12 @@ def test_build_rejections():
         build_complex([(0, 1, 2)], [1.0, 2.0])
     with pytest.raises(ComplexError):
         build_complex([(0, 1, 1)])
+    for bad in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ComplexError, match="finite and positive"):
+            build_complex([(0, 1, 2), (1, 2, 3)], [bad, 1.0])
+    for weights in ([1e308, 1e308], [1e-200, 1e200], [1e-320, 1.0]):
+        with pytest.raises(ComplexError, match="not a normal float"):
+            build_complex([(0, 1, 2), (1, 2, 3)], weights)
 
 
 def test_weighted_facets_normalized():
@@ -194,3 +288,28 @@ def test_purity_and_closure_of_derived(all_fixtures):
             link_of(X, sigma).validate()
         if X.top_dim >= 1:
             skeleton_of(X, X.top_dim - 1).validate()
+
+
+def _assert_same_link(L, S):
+    assert L.top_dim == S.top_dim
+    for j in range(-1, L.top_dim + 1):
+        assert L.faces(j) == S.faces(j)
+    assert L.weight == S.weight
+
+
+def test_link_of_equals_link_scan(all_fixtures):
+    # the star-index link and the scan over every face agree exactly: the
+    # same faces in the same order and bitwise equal weights, on skewed
+    # weights and on links of links too
+    rng = np.random.default_rng(12)
+    facets = generate("complete", n=8, d=3).facets
+    skewed = build_complex(facets, list(10.0 ** rng.uniform(0.0, 12.0, len(facets))))
+    for _, X in all_fixtures + [("skewed_complete83", skewed)]:
+        for i in range(0, X.top_dim):
+            for sigma in X.faces(i):
+                _assert_same_link(link_of(X, sigma), oracle.link_scan(X, sigma))
+        for v in X.faces(0):
+            L = link_of(X, v)
+            for i in range(0, L.top_dim):
+                for tau in L.faces(i):
+                    _assert_same_link(link_of(L, tau), oracle.link_scan(L, tau))
