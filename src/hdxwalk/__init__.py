@@ -50,11 +50,13 @@ from .level_decomp import (
     view,
 )
 from .theorem_verify import (
+    BlockReport,
     BoundReport,
     LambdaTable,
     advantage_check,
     alev_lau_check,
     bootstrap_certificate,
+    check_block,
     fine_grained_check,
     lambda_table,
     trickling_down_check,

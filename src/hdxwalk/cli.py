@@ -37,14 +37,13 @@ from .spectral import (
     lambda2_skeleton,
 )
 from .theorem_verify import (
+    LEVELLED,
     SLACK_TOL,
-    advantage_check,
-    alev_lau_check,
     bootstrap_certificate,
-    fine_grained_check,
-    random_mean_zero_cochain,
+    check_block,
+    levelled_dims,
+    random_mean_zero_block,
     trickling_down_check,
-    updown_corollary_check,
 )
 
 THEOREMS = ("fine-grained", "alev-lau", "advantage", "trickling", "bootstrap", "updown")
@@ -53,6 +52,10 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_HYPOTHESIS = 3
+
+# columns per check_block call in verify; bounds the temporaries of one
+# call, where stacking every column of a dimension raises peak memory
+VERIFY_CHUNK = 128
 
 
 def _read(path):
@@ -176,35 +179,29 @@ def cmd_minimize(args):
 
 def _verify_cases(X, theorem, samples, seed):
     """Yield (label, slack) pairs for one theorem over random admissible
-    cochains plus every proper-level basis vector."""
+    cochains plus every proper-level basis vector.
+
+    A levelled theorem evaluates each dimension's sample block and level
+    bases in column chunks of at most ``VERIFY_CHUNK``, as views.
+    """
     rng = np.random.default_rng(seed)
-    checks = {
-        "fine-grained": fine_grained_check,
-        "alev-lau": alev_lau_check,
-        "updown": updown_corollary_check,
-        "advantage": advantage_check,
-    }
-    if theorem in checks:
-        check = checks[theorem]
-        lo, hi = (1, X.top_dim) if theorem == "advantage" else (0, X.top_dim - 1)
-        for k in range(lo, hi + 1):
+    if theorem in LEVELLED:
+        for k in levelled_dims(X, theorem):
             if X.n_faces(k) < 2:
                 continue  # no nonzero admissible cochains at this dimension
-            cochains = [
-                (f"k={k}/random/{s}", random_mean_zero_cochain(X, k, rng))
-                for s in range(samples)
+            blocks = [("random", random_mean_zero_block(X, k, rng, max(samples, 0)))]
+            blocks += [
+                (f"level{i}-basis", proper_level_basis(X, k, i)) for i in range(k + 1)
             ]
-            for i in range(0, k + 1):
-                basis = proper_level_basis(X, k, i)
-                cochains += [
-                    (f"k={k}/level{i}-basis/{c}", Cochain(X, k, basis[:, c]))
-                    for c in range(basis.shape[1])
-                ]
-            for label, f in cochains:
-                rep = check(X, k, f)
-                yield label, rep.slack
-                if theorem == "alev-lau":
-                    yield label + "/dominance", rep.details["dominance_gap"]
+            for name, block in blocks:
+                for start in range(0, block.shape[1], VERIFY_CHUNK):
+                    rep = check_block(X, theorem, k, block[:, start:start + VERIFY_CHUNK])
+                    gaps = rep.details.get("dominance_gap")
+                    for c, slack in enumerate(rep.slack):
+                        label = f"k={k}/{name}/{start + c}"
+                        yield label, slack
+                        if gaps is not None:
+                            yield label + "/dominance", gaps[c]
     elif theorem == "bootstrap":
         for k in range(1, X.top_dim):
             cert = bootstrap_certificate(X, k)

@@ -17,7 +17,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .complex_core import ComplexError, build_complex, canonical_face, link_of
+from .complex_core import ComplexError, _closure, build_complex, canonical_face, link_of
 from .cochain_ops import Cochain
 from .spectral import is_connected
 
@@ -109,7 +109,9 @@ def parse_complex(text):
     if not facets:
         raise ParseError("no facets in file")
     try:
-        return build_complex(facets, weights if mode == "weighted" else None)
+        # every facet is canonical, distinct and of dimension d, and every
+        # weight finite and positive: skip build_complex's second pass
+        return _closure(facets, weights if mode == "weighted" else None)
     except ComplexError as exc:
         raise ParseError(str(exc)) from None
 

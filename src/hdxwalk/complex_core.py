@@ -188,17 +188,27 @@ def build_complex(facets, facet_weights=None):
         raise ComplexError("facets have mixed dimensions")
     if len(set(canon)) != len(canon):
         raise ComplexError("duplicate facet")
-    if facet_weights is None:
-        top_weights = [1.0 / len(canon)] * len(canon)
-    else:
+    if facet_weights is not None:
         if len(facet_weights) != len(canon):
             raise ComplexError("facet_weights length does not match facets")
         if not all(0 < w < math.inf for w in facet_weights):
             raise ComplexError("facet weights must be finite and positive")
+    return _closure(canon, facet_weights)
+
+
+def _closure(facets, facet_weights):
+    """:func:`build_complex` on input it has checked already: a non-empty
+    list of distinct canonical facets of one dimension and, if given, as
+    many finite positive weights.  ``parse_complex`` checks the same line by
+    line and calls this directly."""
+    d = len(facets[0]) - 1
+    if facet_weights is None:
+        top_weights = [1.0 / len(facets)] * len(facets)
+    else:
         total = float(sum(facet_weights))
         top_weights = [float(w) / total for w in facet_weights]
 
-    over = _subface_sums(canon, top_weights, d)
+    over = _subface_sums(facets, top_weights, d)
     faces_by_dim = {}
     weight = {}
     for k in range(-1, d + 1):

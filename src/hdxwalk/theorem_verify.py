@@ -9,6 +9,14 @@ from one closed form over the gamma profile,
 
 which is the contraction certified for a proper i-level k-cochain; i = 0
 recovers the single worst-case coefficient that ignores structure.
+
+The four levelled bounds (advantage, fine-grained, Alev-Lau, up-down) are
+evaluated on a block of cochains at once by :func:`check_block`: with the
+proper level bases built once per dimension, norms, means and level
+masses are column reductions and each quadratic form is one matrix
+product, so a certificate over thousands of cochains costs a few matrix
+products per block.  The per-cochain ``*_check`` functions are one-column
+calls into it.
 """
 
 from __future__ import annotations
@@ -20,18 +28,19 @@ import numpy as np
 from .complex_core import ComplexError, link_of
 from .cochain_ops import (
     Cochain,
-    inner_product,
+    _same_space,
     multi_down,
     multi_up,
     nonlazy,
-    norm_sq,
     up_down,
     weight_vector,
 )
-from .level_decomp import RESTRICTION, level_space, proper_decompose, view
+from .level_decomp import RESTRICTION, level_space, proper_level_basis, view
 from .spectral import HypothesisError, gamma_profile, lambda2_skeleton
 
 __all__ = [
+    "LEVELLED",
+    "BlockReport",
     "BoundReport",
     "BootstrapCertificate",
     "LambdaTable",
@@ -39,14 +48,21 @@ __all__ = [
     "advantage_check",
     "alev_lau_check",
     "bootstrap_certificate",
+    "check_block",
     "fine_grained_check",
     "lambda_table",
+    "levelled_dims",
+    "random_mean_zero_block",
     "random_mean_zero_cochain",
     "trickling_down_check",
     "updown_corollary_check",
 ]
 
 SLACK_TOL = 1e-9
+
+# the bounds whose both sides are inner products against fixed matrices,
+# so that check_block evaluates them on a block of cochains at once
+LEVELLED = ("fine-grained", "alev-lau", "updown", "advantage")
 
 
 @dataclass(frozen=True)
@@ -99,86 +115,137 @@ class BoundReport:
         return self.slack >= -SLACK_TOL
 
 
-def _require_mean_zero(X, f):
-    w = weight_vector(X, f.dim)
-    nrm = float(np.sqrt(f.values @ (w * f.values)))
-    mean = float(w @ f.values)
-    if abs(mean) > 1e-9 * max(1.0, nrm):
+@dataclass(frozen=True)
+class BlockReport:
+    """One bound evaluated on every column of a block of cochains: ``lhs``
+    and ``rhs`` are arrays over the columns, ``per_level`` maps a level to
+    (coefficient, column masses), and ``details`` holds scalars and column
+    arrays."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    per_level: dict
+    details: dict = field(default_factory=dict)
+
+    @property
+    def slack(self):
+        return self.rhs - self.lhs
+
+    def column(self, c) -> BoundReport:
+        """The report of column ``c`` alone."""
+        return BoundReport(
+            float(self.lhs[c]),
+            float(self.rhs[c]),
+            {i: (coeff, float(mass[c])) for i, (coeff, mass) in self.per_level.items()},
+            {name: float(v[c]) if np.ndim(v) else v for name, v in self.details.items()},
+        )
+
+
+def _colsum(A, B):
+    """Column sums of the entrywise product ``A * B``."""
+    return np.einsum("ij,ij->j", A, B)
+
+
+def levelled_dims(X, theorem) -> range:
+    """The cochain dimensions k a levelled bound is stated for."""
+    if theorem not in LEVELLED:
+        raise ComplexError(f"unknown levelled theorem {theorem!r}")
+    return range(1, X.top_dim + 1) if theorem == "advantage" else range(0, X.top_dim)
+
+
+def check_block(X, theorem, k, F) -> BlockReport:
+    """Evaluate one levelled bound (a name in :data:`LEVELLED`) on every
+    column of ``F``, an ``n_k x m`` block of k-cochain values.
+
+    Weighted norms and means are column reductions; the level masses are
+    ``|B_i^T W F|^2`` per column for the W-orthonormal proper bases
+    ``B_i``, the same numbers :func:`proper_decompose` reports as
+    ``norms_sq``; the quadratic form is one product with the walk.  Every
+    column must be W-orthogonal to the constants.
+    """
+    dims = levelled_dims(X, theorem)
+    if k not in dims:
+        raise ComplexError(
+            f"{theorem} needs {dims.start} <= k <= {dims.stop - 1}, got k={k}"
+        )
+    F = np.asarray(F, dtype=float)
+    if F.ndim != 2 or F.shape[0] != X.n_faces(k):
+        raise ComplexError(
+            f"a block of {k}-cochains needs {X.n_faces(k)} rows, got shape {F.shape}"
+        )
+    w = weight_vector(X, k)
+    WF = w[:, None] * F
+    nsq = _colsum(WF, F)
+    if np.any(np.abs(w @ F) > 1e-9 * np.maximum(1.0, np.sqrt(nsq))):
         raise ComplexError("cochain has a nonzero constant component")
+    if theorem == "advantage":
+        gamma = lambda2_skeleton(X)
+        down = multi_down(X, 0, k).matrix @ F
+        lhs = _colsum(weight_vector(X, 0)[:, None] * down, down)
+        coeff = 1.0 - (k / (k + 1)) * (1.0 - gamma)
+        return BlockReport(lhs, coeff * nsq, {0: (coeff, nsq)}, {"gamma": gamma})
+
+    table = lambda_table(gamma_profile(X), X.top_dim - 1)
+    masses = {}
+    for i in range(-1, k + 1):
+        C = proper_level_basis(X, k, i).T @ WF
+        masses[i] = _colsum(C, C)
+    if theorem == "updown":
+        # the exact identity U = ((k+1) M + I) / (k+2) transports each
+        # fine-grained coefficient to the lazy up-down walk
+        walk = up_down(X, k, 1)
+        coeffs = {i: ((k + 1) * table.value(i, k) + 1.0) / (k + 2) for i in range(k + 1)}
+    else:
+        walk = nonlazy(X, k)
+        coeffs = table.coefficients(k)
+    lhs = _colsum(WF, walk.matrix @ F)
+    per_level = {i: (coeffs[i], masses[i]) for i in range(k + 1)}
+    rhs = sum(coeff * mass for coeff, mass in per_level.values())
+    if theorem == "fine-grained":
+        return BlockReport(lhs, rhs, per_level, {"constant_mass": masses[-1]})
+    if theorem == "updown":
+        return BlockReport(lhs, rhs, per_level)
+    coeff = table.value(0, k)
+    worst = coeff * nsq
+    return BlockReport(
+        lhs,
+        worst,
+        {0: (coeff, nsq)},
+        {"fine_grained_rhs": rhs, "dominance_gap": worst - rhs},
+    )
+
+
+def _check_column(X, theorem, k, f: Cochain) -> BoundReport:
+    if f.dim != k:
+        raise ComplexError(f"cochain dimension {f.dim} != k={k}")
+    _same_space(X, f)
+    return check_block(X, theorem, k, f.values[:, None]).column(0)
 
 
 def advantage_check(X, k, f: Cochain) -> BoundReport:
     """Downward-energy bound for 0-level k-cochains:
     ``|d*_0 ... d*_{k-1} f|^2 <= (1 - (k/(k+1)) (1 - gamma)) |f|^2`` with
     gamma the second eigenvalue of the vertex walk."""
-    if not 1 <= k <= X.top_dim:
-        raise ComplexError(f"advantage_check needs 1 <= k <= {X.top_dim}")
-    if f.dim != k:
-        raise ComplexError(f"cochain dimension {f.dim} != k={k}")
-    _require_mean_zero(X, f)
-    gamma = lambda2_skeleton(X)
-    down = multi_down(X, 0, k)(f)
-    lhs = norm_sq(X, down)
-    nsq = norm_sq(X, f)
-    coeff = 1.0 - (k / (k + 1)) * (1.0 - gamma)
-    return BoundReport(lhs, coeff * nsq, {0: (coeff, nsq)}, {"gamma": gamma})
+    return _check_column(X, "advantage", k, f)
 
 
 def fine_grained_check(X, k, f: Cochain) -> BoundReport:
     """Level-resolved bound on the non-lazy k-walk: after the proper level
     decomposition, each component contracts by its own closed-form
     coefficient instead of the worst-case one."""
-    if not 0 <= k <= X.top_dim - 1:
-        raise ComplexError(f"fine_grained_check needs 0 <= k < {X.top_dim}")
-    if f.dim != k:
-        raise ComplexError(f"cochain dimension {f.dim} != k={k}")
-    _require_mean_zero(X, f)
-    table = lambda_table(gamma_profile(X), X.top_dim - 1)
-    decomp = proper_decompose(X, f)
-    lhs = inner_product(X, nonlazy(X, k)(f), f)
-    per_level = {}
-    rhs = 0.0
-    for i in range(0, k + 1):
-        coeff = table.value(i, k)
-        nsq = decomp.norms_sq[i]
-        per_level[i] = (coeff, nsq)
-        rhs += coeff * nsq
-    return BoundReport(lhs, rhs, per_level, {"constant_mass": decomp.norms_sq[-1]})
+    return _check_column(X, "fine-grained", k, f)
 
 
 def alev_lau_check(X, k, f: Cochain) -> BoundReport:
     """Worst-case bound (single coefficient ``lambda(0, k)``); also reports
     how much the fine-grained bound improves on it for this cochain."""
-    if not 0 <= k <= X.top_dim - 1:
-        raise ComplexError(f"alev_lau_check needs 0 <= k < {X.top_dim}")
-    if f.dim != k:
-        raise ComplexError(f"cochain dimension {f.dim} != k={k}")
-    _require_mean_zero(X, f)
-    table = lambda_table(gamma_profile(X), X.top_dim - 1)
-    coeff = table.value(0, k)
-    nsq = norm_sq(X, f)
-    lhs = inner_product(X, nonlazy(X, k)(f), f)
-    fine = fine_grained_check(X, k, f)
-    return BoundReport(
-        lhs,
-        coeff * nsq,
-        {0: (coeff, nsq)},
-        {"fine_grained_rhs": fine.rhs, "dominance_gap": coeff * nsq - fine.rhs},
-    )
+    return _check_column(X, "alev-lau", k, f)
 
 
 def updown_corollary_check(X, k, f: Cochain) -> BoundReport:
     """The fine-grained bound transported to the (lazy) up-down walk through
     the exact identity ``U = ((k+1) M + I) / (k+2)``."""
-    fine = fine_grained_check(X, k, f)
-    lhs = inner_product(X, up_down(X, k, 1)(f), f)
-    per_level = {}
-    rhs = 0.0
-    for i, (lam, nsq) in fine.per_level.items():
-        coeff = ((k + 1) * lam + 1.0) / (k + 2)
-        per_level[i] = (coeff, nsq)
-        rhs += coeff * nsq
-    return BoundReport(lhs, rhs, per_level)
+    return _check_column(X, "updown", k, f)
 
 
 @dataclass(frozen=True)
@@ -297,13 +364,24 @@ def trickling_down_check(X, samples=5, seed=0) -> TricklingReport:
     return TricklingReport(float(lam), float(bound), float(actual), float(residual), passed)
 
 
-def random_mean_zero_cochain(X, k, rng) -> Cochain:
-    """Standard-normal cochain projected off the constants and normalized
-    to unit weighted norm (uniform on the sphere of the 0-level space)."""
+def random_mean_zero_block(X, k, rng, m) -> np.ndarray:
+    """``m`` standard-normal k-cochains as the columns of an ``n_k x m``
+    block, each projected off the constants and normalized to unit
+    weighted norm (uniform on the sphere of the 0-level space).
+
+    The block is the transpose of one ``(m, n_k)`` draw, whose rows are
+    the draws of ``m`` successive calls of :func:`random_mean_zero_cochain`.
+    """
     w = weight_vector(X, k)
-    vals = rng.standard_normal(X.n_faces(k))
-    vals -= vals @ w
-    nrm = float(np.sqrt(vals @ (w * vals)))
-    if nrm < 1e-14:
+    G = rng.standard_normal((m, X.n_faces(k)))
+    G -= (G @ w)[:, None]
+    nrm = np.sqrt((G * G) @ w)
+    if np.any(nrm < 1e-14):
         raise ComplexError("degenerate sample (no mean-zero directions)")
-    return Cochain(X, k, vals / nrm)
+    G /= nrm[:, None]
+    return G.T
+
+
+def random_mean_zero_cochain(X, k, rng) -> Cochain:
+    """One column of :func:`random_mean_zero_block`."""
+    return Cochain(X, k, random_mean_zero_block(X, k, rng, 1)[:, 0])

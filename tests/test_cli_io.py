@@ -5,16 +5,23 @@ import sys
 import numpy as np
 import pytest
 
+import oracle
 from hdxwalk import (
     Cochain,
     ComplexError,
     ParseError,
+    advantage_check,
+    alev_lau_check,
+    cli,
+    fine_grained_check,
     generate,
     parse_cochain,
     parse_complex,
+    updown_corollary_check,
     write_cochain,
     write_complex,
 )
+from hdxwalk.level_decomp import proper_level_basis
 
 
 def run_cli(*args, cwd=None):
@@ -51,6 +58,12 @@ def test_parse_complex_comments_and_order():
 def test_parse_complex_errors():
     with pytest.raises(ParseError, match="line 3"):
         parse_complex("dim 2\n0 1 2\n0 1 2\n")  # duplicate facet
+    with pytest.raises(ParseError, match=r"line 3: duplicate facet \(0, 1, 2\)"):
+        parse_complex("dim 2\n0 1 2\n2 0 1\n")  # equal once canonicalized
+    with pytest.raises(ParseError, match="line 3: .* repeated vertices"):
+        parse_complex("dim 2\n0 1 2\n1 3 3\n")
+    with pytest.raises(ParseError, match="line 2: .* negative vertex id"):
+        parse_complex("dim 2\n0 -1 2\n")
     with pytest.raises(ParseError, match="line 2"):
         parse_complex("dim 2\n0 1\n")  # wrong arity
     with pytest.raises(ParseError, match="line 3"):
@@ -246,3 +259,71 @@ def test_cli_exit_codes(tmp_path, c42_file):
     assert r.returncode == 3
     r = run_cli("analyze", str(disc))
     assert r.returncode == 3
+
+
+def _per_cochain_cases(X, theorem, samples, seed):
+    """The verify enumeration one cochain at a time, as it ran before block
+    evaluation: (label, slack) from one ``*_check`` call per cochain."""
+    checks = {
+        "fine-grained": fine_grained_check,
+        "alev-lau": alev_lau_check,
+        "updown": updown_corollary_check,
+        "advantage": advantage_check,
+    }
+    rng = np.random.default_rng(seed)
+    lo, hi = (1, X.top_dim) if theorem == "advantage" else (0, X.top_dim - 1)
+    for k in range(lo, hi + 1):
+        if X.n_faces(k) < 2:
+            continue
+        cochains = [
+            (f"k={k}/random/{s}", Cochain(X, k, oracle.random_mean_zero(X, k, rng)))
+            for s in range(samples)
+        ]
+        for i in range(0, k + 1):
+            basis = proper_level_basis(X, k, i)
+            cochains += [
+                (f"k={k}/level{i}-basis/{c}", Cochain(X, k, basis[:, c]))
+                for c in range(basis.shape[1])
+            ]
+        for label, f in cochains:
+            rep = checks[theorem](X, k, f)
+            yield label, rep.slack
+            if theorem == "alev-lau":
+                yield label + "/dominance", rep.details["dominance_gap"]
+
+
+def _assert_same_cases(got, expected):
+    assert [label for label, _ in got] == [label for label, _ in expected]
+    for (label, a), (_, b) in zip(got, expected):
+        assert abs(a - b) <= 1e-12, label
+
+
+def test_cli_verify_blocks_match_per_cochain(tmp_path):
+    # 170 cochains at k=2: the 50 samples and 120 basis vectors
+    X = generate("complete", n=10, d=2)
+    path = tmp_path / "c10.cx"
+    path.write_text(write_complex(X))
+    for theorem in ("alev-lau", "updown", "advantage"):
+        argv = (
+            "verify", str(path), "--theorem", theorem,
+            "--samples", "50", "--seed", "3", "--json",
+        )
+        a, b = run_cli(*argv), run_cli(*argv)
+        assert a.returncode == b.returncode == 0, a.stderr
+        assert a.stdout == b.stdout
+        rep = json.loads(a.stdout)
+        _assert_same_cases(
+            list(zip(rep["fixtures"], rep["slacks"])),
+            list(_per_cochain_cases(X, theorem, 50, 3)),
+        )
+
+
+def test_verify_cases_across_chunk_boundaries():
+    # 300 samples span three chunks of at most VERIFY_CHUNK = 128 columns
+    assert cli.VERIFY_CHUNK == 128
+    X = generate("complete", n=10, d=2)
+    for theorem in ("fine-grained", "alev-lau", "updown", "advantage"):
+        _assert_same_cases(
+            [(label, float(s)) for label, s in cli._verify_cases(X, theorem, 300, 8)],
+            list(_per_cochain_cases(X, theorem, 300, 8)),
+        )

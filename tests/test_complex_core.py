@@ -173,6 +173,11 @@ def test_build_rejections():
         build_complex([(0, 1, 2)], [1.0, 2.0])
     with pytest.raises(ComplexError):
         build_complex([(0, 1, 1)])
+    with pytest.raises(ComplexError, match="negative vertex id"):
+        build_complex([(0, 1, 2), (-1, 1, 2)])
+    with pytest.raises(ComplexError, match="duplicate facet"):
+        build_complex([(0, 1, 2), (2, 1, 0)])  # equal once canonicalized
+    assert build_complex([(2, 1, 0), (3, 2, 1)]).facets == [(0, 1, 2), (1, 2, 3)]
     for bad in (math.nan, math.inf, -math.inf, -1.0):
         with pytest.raises(ComplexError, match="finite and positive"):
             build_complex([(0, 1, 2), (1, 2, 3)], [bad, 1.0])

@@ -1,6 +1,11 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+import oracle
 from hdxwalk import (
     Cochain,
     ComplexError,
@@ -9,21 +14,29 @@ from hdxwalk import (
     alev_lau_check,
     bootstrap_certificate,
     build_complex,
+    check_block,
     diff,
     fine_grained_check,
     gamma_profile,
     generate,
+    lambda2_skeleton,
     lambda_table,
     link_of,
     multi_down,
     norm_sq,
+    proper_decompose,
     trickling_down_check,
     updown_corollary_check,
     view,
+    weight_vector,
 )
 from hdxwalk.cochain_ops import constant_projection
 from hdxwalk.level_decomp import LOCALIZATION, proper_level_basis
-from hdxwalk.theorem_verify import random_mean_zero_cochain
+from hdxwalk.theorem_verify import (
+    levelled_dims,
+    random_mean_zero_block,
+    random_mean_zero_cochain,
+)
 
 SLACK_TOL = 1e-9
 
@@ -300,3 +313,133 @@ def test_bound_report_per_level_masses(c42):
     assert total + rep.details["constant_mass"] == pytest.approx(
         norm_sq(c42, f), abs=1e-9
     )
+
+
+# ------------------------------------------------------ block evaluation
+
+LEVELLED_CHECKS = {
+    "fine-grained": fine_grained_check,
+    "alev-lau": alev_lau_check,
+    "updown": updown_corollary_check,
+    "advantage": advantage_check,
+}
+
+
+def _test_block(X, k, rng, samples):
+    """Random mean-zero samples followed by every proper-level basis vector."""
+    parts = [oracle.random_mean_zero(X, k, rng) for _ in range(samples)]
+    parts += list(np.hstack([proper_level_basis(X, k, i) for i in range(k + 1)]).T)
+    return np.array(parts).T
+
+
+def _assert_block_agrees(X, rng, samples):
+    """Block slacks equal one-column ``*_check`` slacks to 1e-12 relative to
+    |f|^2, and the level masses of each column add up to its |f|^2."""
+    for theorem, check in LEVELLED_CHECKS.items():
+        for k in levelled_dims(X, theorem):
+            if X.n_faces(k) < 2:
+                continue  # no nonzero mean-zero cochains
+            F = _test_block(X, k, rng, samples)
+            block = check_block(X, theorem, k, F)
+            w = weight_vector(X, k)
+            for c in range(F.shape[1]):
+                f = Cochain(X, k, F[:, c])
+                nsq = float(f.values @ (w * f.values))
+                tol = 1e-12 * nsq
+                one = check(X, k, f)
+                assert abs(block.slack[c] - one.slack) <= tol, (theorem, k, c)
+                assert abs(block.lhs[c] - one.lhs) <= tol
+                col = block.column(c)
+                for i, (coeff, mass) in one.per_level.items():
+                    assert col.per_level[i][0] == coeff
+                    assert abs(col.per_level[i][1] - mass) <= tol
+                for name, value in one.details.items():
+                    assert abs(col.details[name] - value) <= tol, name
+                if theorem == "fine-grained":
+                    levels = sum(mass for _, mass in col.per_level.values())
+                    constant = col.details["constant_mass"]
+                    assert abs(levels - (nsq - constant)) <= tol
+                    decomp = proper_decompose(X, f)
+                    for i in range(-1, k + 1):
+                        mass = col.per_level[i][1] if i >= 0 else constant
+                        assert abs(mass - decomp.norms_sq[i]) <= tol
+
+
+def _skewed_complete83():
+    facets = list(combinations(range(8), 4))
+    rng = np.random.default_rng(31)
+    return build_complex(facets, list(10.0 ** rng.uniform(-12.0, 0.0, len(facets))))
+
+
+def test_block_matches_one_column_checks(all_fixtures):
+    rng = np.random.default_rng(30)
+    for _, X in all_fixtures + [("skewed_complete83", _skewed_complete83())]:
+        _assert_block_agrees(X, rng, samples=6)
+
+
+@pytest.mark.parametrize("position", [0, 3, 7])
+@pytest.mark.parametrize("theorem", sorted(LEVELLED_CHECKS))
+def test_block_rejects_constant_component_anywhere(c42, theorem, position):
+    rng = np.random.default_rng(32)
+    F = np.array([oracle.random_mean_zero(c42, 1, rng) for _ in range(8)]).T
+    check_block(c42, theorem, 1, F)  # every column mean-zero: accepted
+    F[:, position] += 1.0
+    with pytest.raises(ComplexError, match="cochain has a nonzero constant component"):
+        check_block(c42, theorem, 1, F)
+
+
+def test_block_rejects_bad_shapes(c42):
+    with pytest.raises(ComplexError, match="rows"):
+        check_block(c42, "fine-grained", 1, np.zeros((4, 2)))
+    with pytest.raises(ComplexError, match="needs 1 <= k"):
+        check_block(c42, "advantage", 0, np.zeros((4, 2)))
+    with pytest.raises(ComplexError, match="unknown"):
+        check_block(c42, "bootstrap", 1, np.zeros((6, 2)))
+
+
+def test_random_block_is_successive_draws(all_fixtures):
+    for _, X in all_fixtures:
+        for k in range(0, X.top_dim + 1):
+            if X.n_faces(k) < 2:
+                continue
+            n = X.n_faces(k)
+            a, b = np.random.default_rng(33), np.random.default_rng(33)
+            raw = a.standard_normal((5, n))
+            assert all(np.array_equal(row, b.standard_normal(n)) for row in raw)
+            a, b = np.random.default_rng(34), np.random.default_rng(34)
+            block = random_mean_zero_block(X, k, a, 5)
+            assert block.shape == (n, 5)
+            for c in range(5):
+                ref = oracle.random_mean_zero(X, k, b)
+                assert np.allclose(block[:, c], ref, rtol=0, atol=1e-13)
+
+
+@st.composite
+def weighted_pure_complexes(draw):
+    """A random pure complex on at most 7 vertices: a subset of the facets
+    of complete(n, d), weights log-uniform over up to 12 decades."""
+    n = draw(st.integers(4, 7))
+    d = draw(st.integers(1, min(3, n - 2)))
+    pool = list(combinations(range(n), d + 1))
+    keep = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+    keep[draw(st.integers(0, len(pool) - 1))] = True
+    facets = [F for F, kept in zip(pool, keep) if kept]
+    spread = draw(st.floats(0.0, 12.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    exps = np.random.default_rng(seed).uniform(-spread, 0.0, len(facets))
+    return build_complex(facets, list(10.0**exps))
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(X=weighted_pure_complexes(), seed=st.integers(0, 2**32 - 1))
+def test_block_property_random_weighted_complexes(X, seed):
+    try:
+        gamma_profile(X)
+        lambda2_skeleton(X)
+    except HypothesisError:
+        assume(False)  # the bounds need connected links
+    _assert_block_agrees(X, np.random.default_rng(seed), samples=3)
