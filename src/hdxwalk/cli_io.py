@@ -17,9 +17,9 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .complex_core import ComplexError, _closure, build_complex, canonical_face, link_of
+from .complex_core import ComplexError, _closure, build_complex, canonical_face
 from .cochain_ops import Cochain
-from .spectral import is_connected
+from .spectral import _link_graph
 
 __all__ = [
     "ParseError",
@@ -167,9 +167,9 @@ def write_cochain(X, f):
 
 def _all_links_connected(X):
     for j in range(-1, X.top_dim - 1):
-        for sigma in X.faces(j):
-            if not is_connected(link_of(X, sigma)):
-                return False
+        *_, bad = _link_graph(X, j)
+        if bad is not None:
+            return False
     return True
 
 

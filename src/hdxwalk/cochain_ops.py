@@ -9,6 +9,8 @@ multi-step averages, the up-down and down-up walks, and the non-lazy walk.
 Every operator is materialized as a dense matrix (rows indexed by target
 faces, columns by source faces); the complexes here are desk scale, which
 keeps adjointness and spectrum checks exact to near machine precision.
+``diff``, ``adjoint_diff`` and the non-lazy walk are written by one numpy
+scatter over the subface index array ``complex_core._sub``.
 Alongside the compositional definitions, the explicit entrywise formulas
 (``*_explicit``) are implemented independently so the two routes can be
 compared rather than trusted.
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex_core import ComplexError, _cached_op, canonical_face
+from .complex_core import ComplexError, _cached_op, _sub, canonical_face
 
 __all__ = [
     "Cochain",
@@ -186,14 +188,9 @@ def diff(X, k) -> LinOp:
         raise ComplexError(f"diff needs -1 <= k < {X.top_dim}, got {k}")
 
     def build():
-        rows = X.faces(k + 1)
-        mat = np.zeros((len(rows), X.n_faces(k)))
-        coeff = 1.0 / (k + 2)
-        from itertools import combinations
-
-        for r, sigma in enumerate(rows):
-            for tau in combinations(sigma, k + 1):
-                mat[r, X.face_index[tau]] += coeff
+        sub = _sub(X, k + 1)
+        mat = np.zeros((len(sub), X.n_faces(k)))
+        mat[np.arange(len(sub))[:, None], sub] = 1.0 / (k + 2)
         return LinOp(k, k + 1, mat)
 
     return _cached_op(X, ("diff", k), build)
@@ -209,16 +206,12 @@ def adjoint_diff(X, k) -> LinOp:
         raise ComplexError(f"adjoint_diff needs -1 <= k < {X.top_dim}, got {k}")
 
     def build():
-        rows = X.faces(k)
-        cols = X.faces(k + 1)
-        mat = np.zeros((len(rows), len(cols)))
-        from itertools import combinations
-
-        for c, sigma in enumerate(cols):
-            w_sigma = X.weight[sigma]
-            for tau in combinations(sigma, k + 1):
-                # w_tau(sigma \ tau) = w(sigma) / ((k+2) w(tau))
-                mat[X.face_index[tau], c] += w_sigma / ((k + 2) * X.weight[tau])
+        sub = _sub(X, k + 1)
+        mat = np.zeros((X.n_faces(k), len(sub)))
+        # w_tau(sigma \ tau) = w(sigma) / ((k+2) w(tau)) for tau in sub[sigma]
+        mat[sub, np.arange(len(sub))[:, None]] = weight_vector(X, k + 1)[:, None] / (
+            (k + 2) * weight_vector(X, k)[sub]
+        )
         return LinOp(k + 1, k, mat)
 
     return _cached_op(X, ("adjoint_diff", k), build)
@@ -328,7 +321,7 @@ def up_down_explicit(X, k) -> LinOp:
     mat = np.zeros((n, n))
     for s in range(n):
         mat[s, s] = 1.0 / (k + 2)
-    _add_neighbor_entries(X, k, mat, 1.0 / (k + 2))
+    _scatter_neighbors(X, k, mat, 1.0 / (k + 2))
     return LinOp(k, k, mat)
 
 
@@ -358,20 +351,18 @@ def down_up_explicit(X, k) -> LinOp:
     return LinOp(k, k, mat)
 
 
-def _add_neighbor_entries(X, k, mat, scale):
-    """Add ``scale * w_s(t - s)`` at [s, t] for all k-face pairs sharing a
-    (k+1)-face, by sweeping the (k+1)-faces once."""
-    from itertools import combinations
-
-    for rho in X.faces(k + 1):
-        w_rho = X.weight[rho]
-        subs = [X.face_index[t] for t in combinations(rho, k + 1)]
-        for a in subs:
-            w_a = X.weight[X.faces(k)[a]]
-            for b in subs:
-                if a != b:
-                    # w_sigma(v) = w(rho) / ((k+2) w(sigma))
-                    mat[a, b] += scale * w_rho / ((k + 2) * w_a)
+def _scatter_neighbors(X, k, mat, scale):
+    """Write ``scale * w_s(t - s)`` at [s, t] for all k-face pairs sharing a
+    (k+1)-face, in one scatter over the subface array of the (k+1)-faces.
+    Two distinct k-faces span at most one (k+1)-face, so every entry is
+    written once."""
+    sub = _sub(X, k + 1)
+    a = np.repeat(sub, k + 2, axis=1)  # [rho, (p, q)] -> sub[rho, p]
+    b = np.tile(sub, k + 2)  # [rho, (p, q)] -> sub[rho, q]
+    off = a != b
+    # w_sigma(v) = w(rho) / ((k+2) w(sigma))
+    vals = scale * weight_vector(X, k + 1)[:, None] / ((k + 2) * weight_vector(X, k)[a])
+    mat[a[off], b[off]] = vals[off]
 
 
 def nonlazy(X, k) -> LinOp:
@@ -391,7 +382,7 @@ def nonlazy(X, k) -> LinOp:
         mat = np.zeros((n, n))
         # entry w_s(v)/(k+1) = w(rho) / ((k+1)(k+2) w(s)); the helper divides
         # by (k+2) already
-        _add_neighbor_entries(X, k, mat, 1.0 / (k + 1))
+        _scatter_neighbors(X, k, mat, 1.0 / (k + 1))
         return LinOp(k, k, mat)
 
     return _cached_op(X, ("nonlazy", k), build)

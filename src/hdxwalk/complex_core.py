@@ -16,6 +16,9 @@ and dimension, the positions of the faces containing that vertex (the top
 row is the facet star).  It is built once per complex and kept under the
 cache key ``("star",)``.  Every "faces over sigma" query (links, cofaces)
 intersects the stars of sigma's vertices instead of scanning all faces.
+Downward incidence is one int array per dimension, ``_sub(X, k)``, the
+positions of each k-face's (k-1)-subfaces (cache key ``("sub", k)``);
+operator matrices and link spectra are scattered from it.
 :meth:`PureComplex.validate` and :func:`build_complex` share one
 accumulation of facet weights over the facets' subfaces.
 """
@@ -25,6 +28,8 @@ from __future__ import annotations
 import math
 import sys
 from itertools import combinations
+
+import numpy as np
 
 __all__ = [
     "ComplexError",
@@ -261,6 +266,25 @@ def _star(X):
         return star
 
     return _cached_op(X, ("star",), build)
+
+
+def _sub(X, k):
+    """The subface index array of dimension ``k`` (0 <= k <= top_dim): an
+    int array of shape (n_k, k+1) whose column ``c`` holds the position in
+    ``X.faces(k-1)`` of each k-face minus its c-th vertex.  Built once per
+    complex under the cache key ``("sub", k)``; the operators of
+    :mod:`hdxwalk.cochain_ops` and the link spectra of
+    :mod:`hdxwalk.spectral` are scattered from it."""
+
+    def build():
+        index = X.face_index
+        faces_k = X.faces_by_dim[k]
+        sub = np.empty((len(faces_k), k + 1), dtype=np.intp)
+        for c in range(k + 1):
+            sub[:, c] = [index[f[:c] + f[c + 1 :]] for f in faces_k]
+        return sub
+
+    return _cached_op(X, ("sub", k), build)
 
 
 def _faces_over(X, sigma, k):

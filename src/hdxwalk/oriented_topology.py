@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .complex_core import ComplexError, _faces_over, canonical_face, link_of
+from .complex_core import ComplexError, _faces_over, _sub, canonical_face, link_of
 from .cochain_ops import Cochain, LinOp, inner_product, weight_vector
 
 __all__ = [
@@ -91,12 +91,10 @@ def coboundary(X, i) -> LinOp:
     """
     if not -1 <= i <= X.top_dim - 1:
         raise ComplexError(f"coboundary needs -1 <= i < {X.top_dim}, got {i}")
-    rows = X.faces(i + 1)
-    mat = np.zeros((len(rows), X.n_faces(i)))
-    for r, sigma in enumerate(rows):
-        for j in range(len(sigma)):
-            sub = sigma[:j] + sigma[j + 1 :]
-            mat[r, X.face_index[sub]] += (-1.0) ** j
+    sub = _sub(X, i + 1)
+    mat = np.zeros((len(sub), X.n_faces(i)))
+    # column j of sub drops the j-th vertex, which carries the sign (-1)^j
+    mat[np.arange(len(sub))[:, None], sub] = (-1.0) ** np.arange(i + 2)
     return LinOp(i, i + 1, mat)
 
 

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 import hdxwalk
@@ -43,3 +44,11 @@ def all_fixtures(t3, c42, k53, two_tri, random7):
     named = [("T3", t3), ("C42", c42), ("complete53", k53), ("two_triangles", two_tri)]
     named += [(f"random7_seed{s}", X) for s, X in zip((1, 2, 3), random7)]
     return named
+
+
+@pytest.fixture(scope="session")
+def skewed83():
+    """complete(8,3) with facet weights spread over 12 decades."""
+    rng = np.random.default_rng(12)
+    facets = generate("complete", n=8, d=3).facets
+    return build_complex(facets, list(10.0 ** rng.uniform(0.0, 12.0, len(facets))))

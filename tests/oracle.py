@@ -212,3 +212,48 @@ def random_mean_zero(X, k, rng):
     vals = rng.standard_normal(len(w))
     vals -= vals @ w
     return vals / np.sqrt(vals @ (w * vals))
+
+
+def coboundary_scan(X, i):
+    """Matrix of ``coboundary(X, i)``: sign (-1)^j on the subface that
+    drops the j-th vertex, by a loop over the (i+1)-faces."""
+    rows = X.faces(i + 1)
+    mat = np.zeros((len(rows), X.n_faces(i)))
+    for r, sigma in enumerate(rows):
+        for j in range(len(sigma)):
+            sub = sigma[:j] + sigma[j + 1 :]
+            mat[r, X.face_index[sub]] += (-1.0) ** j
+    return mat
+
+
+def link_lambda2_scan(X, j):
+    """lambda2 of each j-face's link by building the link with ``link_of``
+    and its walk with :func:`nonlazy_matrix_loops`."""
+    from hdxwalk.complex_core import link_of
+
+    out = []
+    for sigma in X.faces(j):
+        link = link_of(X, sigma)
+        out.append(spectrum_loops(link, 0, nonlazy_matrix_loops(link, 0))[1])
+    return np.array(out)
+
+
+def trickling_residual_scan(X, samples, seed):
+    """The advantage-identity residual of ``trickling_down_check`` one
+    sample and one vertex at a time, restricting through ``view``."""
+    from hdxwalk.cochain_ops import Cochain, weight_vector
+    from hdxwalk.complex_core import link_of
+    from hdxwalk.level_decomp import RESTRICTION, view
+
+    rng = np.random.default_rng(seed)
+    M = nonlazy_matrix_loops(X, 0)
+    residual = 0.0
+    for _ in range(samples):
+        f = Cochain(X, 0, rng.standard_normal(X.n_faces(0)))
+        Mf = M @ f.values
+        for pos, v in enumerate(X.faces(0)):
+            link = link_of(X, v)
+            fv = view(RESTRICTION, X, f, v, link=link)
+            local_mean = float(weight_vector(link, 0) @ fv.values)
+            residual = max(residual, abs(local_mean - Mf[pos]))
+    return residual

@@ -286,3 +286,20 @@ def test_all_walks_fix_constants(all_fixtures):
             for op in (nonlazy(X, k), up_down(X, k, 1), down_up(X, k + 1, 1)):
                 ones = Cochain.ones(X, op.source_dim)
                 assert np.allclose(op(ones).values, 1.0, atol=TOL)
+
+
+def test_operators_equal_loop_routes(all_fixtures, skewed83):
+    # the scatters over the subface arrays against the defining loops, one
+    # basis cochain at a time; entries are at most 1, so 1e-15 is rounding
+    def by_columns(apply, X, k, n):
+        return np.array([apply(X, k, e) for e in np.eye(n)]).T
+
+    for _, X in all_fixtures + [("skewed_complete83", skewed83)]:
+        for k in range(-1, X.top_dim):
+            expect = by_columns(oracle.diff_loops, X, k, X.n_faces(k))
+            assert np.max(np.abs(diff(X, k).matrix - expect)) <= 1e-15
+            expect = by_columns(oracle.adjoint_diff_loops, X, k, X.n_faces(k + 1))
+            assert np.max(np.abs(adjoint_diff(X, k).matrix - expect)) <= 1e-15
+        for k in range(0, X.top_dim):
+            expect = oracle.nonlazy_matrix_loops(X, k)
+            assert np.max(np.abs(nonlazy(X, k).matrix - expect)) <= 1e-15

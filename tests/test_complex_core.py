@@ -2,7 +2,6 @@ import math
 import re
 from itertools import combinations
 
-import numpy as np
 import pytest
 
 import oracle
@@ -10,7 +9,6 @@ from hdxwalk import (
     ComplexError,
     build_complex,
     faces,
-    generate,
     link_of,
     skeleton_of,
 )
@@ -302,14 +300,11 @@ def _assert_same_link(L, S):
     assert L.weight == S.weight
 
 
-def test_link_of_equals_link_scan(all_fixtures):
+def test_link_of_equals_link_scan(all_fixtures, skewed83):
     # the star-index link and the scan over every face agree exactly: the
     # same faces in the same order and bitwise equal weights, on skewed
     # weights and on links of links too
-    rng = np.random.default_rng(12)
-    facets = generate("complete", n=8, d=3).facets
-    skewed = build_complex(facets, list(10.0 ** rng.uniform(0.0, 12.0, len(facets))))
-    for _, X in all_fixtures + [("skewed_complete83", skewed)]:
+    for _, X in all_fixtures + [("skewed_complete83", skewed83)]:
         for i in range(0, X.top_dim):
             for sigma in X.faces(i):
                 _assert_same_link(link_of(X, sigma), oracle.link_scan(X, sigma))

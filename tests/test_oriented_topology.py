@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from hdxwalk import (
     Cochain,
     ComplexError,
@@ -49,6 +50,12 @@ def test_coboundary_vertex_example(t3):
 def test_coboundary_minus_one_lifts_constants(t3):
     dm1 = coboundary(t3, -1)
     assert np.allclose(dm1.matrix @ np.array([2.0]), 2.0, atol=TOL)
+
+
+def test_coboundary_equals_scan(all_fixtures, skewed83):
+    for _, X in all_fixtures + [("skewed_complete83", skewed83)]:
+        for i in range(-1, X.top_dim):
+            assert np.array_equal(coboundary(X, i).matrix, oracle.coboundary_scan(X, i))
 
 
 def test_delta_delta_zero(all_fixtures):

@@ -15,8 +15,10 @@ from hdxwalk import (
     psd_sqrt,
     selfadjoint_spectrum,
     up_down,
+    weight_vector,
 )
 from hdxwalk.cochain_ops import LinOp
+from hdxwalk.spectral import link_lambda2
 
 SPEC_TOL = 1e-9
 
@@ -45,6 +47,35 @@ def test_non_selfadjoint_rejected(t3):
     bad = LinOp(0, 0, np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
     with pytest.raises(ComplexError, match="asymmetry"):
         selfadjoint_spectrum(t3, bad)
+
+
+def test_selfadjoint_tolerance_relative_to_scale(skewed83):
+    # any multiple of a walk is self-adjoint; at a scale where max |W A| is
+    # 1e-9, an asymmetry of 1e-3 of that scale is 1e-12, far under an
+    # absolute 1e-10, and must still be rejected
+    X = skewed83
+    for k in range(0, X.top_dim):
+        selfadjoint_spectrum(X, nonlazy(X, k))
+        selfadjoint_spectrum(X, up_down(X, k, 1))
+    w = weight_vector(X, 0)
+    M = nonlazy(X, 0).matrix
+    A = M * (1e-9 / np.max(np.abs(w[:, None] * M)))
+    selfadjoint_spectrum(X, LinOp(0, 0, A))
+    bad = A.copy()
+    bad[0, 1] += 1e-3 * 1e-9 / w[0]
+    assert np.max(np.abs(w[:, None] * bad - (w[:, None] * bad).T)) < 1e-10
+    with pytest.raises(ComplexError, match="asymmetry"):
+        selfadjoint_spectrum(X, LinOp(0, 0, bad))
+    # at a scale where max |W A| is 1e3 the bound stays 1e-10 absolute, as
+    # tight as it ever was: an asymmetry of 1e-9, under 1e-10 of the scale,
+    # is rejected
+    A = M * (1e3 / np.max(np.abs(w[:, None] * M)))
+    selfadjoint_spectrum(X, LinOp(0, 0, A))
+    bad = A.copy()
+    bad[0, 1] += 1e-9 / w[0]
+    assert np.max(np.abs(w[:, None] * bad - (w[:, None] * bad).T)) < 1e-10 * 1e3
+    with pytest.raises(ComplexError, match="asymmetry"):
+        selfadjoint_spectrum(X, LinOp(0, 0, bad))
 
 
 def test_lambda2_examples(t3, c42):
@@ -102,6 +133,52 @@ def test_gamma_profile_matches_per_link_maximum(all_fixtures):
                 worst = max(worst, spec[1])
             assert abs(g[j] - worst) <= SPEC_TOL
             assert g[j] <= 1.0 + SPEC_TOL
+
+
+def test_lambda2_messages():
+    with pytest.raises(ComplexError, match=r"^lambda2 needs a complex of dimension >= 1$"):
+        lambda2_skeleton(build_complex([(0,), (1,)]))
+    with pytest.raises(HypothesisError, match=r"^1-skeleton is disconnected$"):
+        lambda2_skeleton(build_complex([(0, 1, 2), (3, 4, 5)]))
+
+
+def test_link_lambda2_matches_link_oracle(all_fixtures, skewed83):
+    # the per-face table against links built by link_of, their walks built
+    # by loops and diagonalized one at a time
+    for _, X in all_fixtures + [("skewed_complete83", skewed83)]:
+        for j in range(-1, X.top_dim - 1):
+            got = link_lambda2(X, j)
+            assert got.shape == (X.n_faces(j),)
+            assert np.max(np.abs(got - oracle.link_lambda2_scan(X, j))) <= 1e-12
+        with pytest.raises(ComplexError):
+            link_lambda2(X, X.top_dim - 1)
+
+
+def test_local_expander_worst_face_is_first_argmax(all_fixtures, skewed83):
+    for _, X in all_fixtures + [("skewed_complete83", skewed83)]:
+        rep = is_local_spectral_expander(X, 0.0)
+        ranked = [
+            (val, sigma)
+            for j in range(-1, X.top_dim - 1)
+            for sigma, val in zip(X.faces(j), link_lambda2(X, j))
+        ]
+        worst = max(val for val, _ in ranked)
+        assert rep.worst_value == worst
+        assert rep.worst_face == next(sigma for val, sigma in ranked if val == worst)
+
+
+def test_disconnected_edge_link_named():
+    # two tetrahedra sharing the edge (0, 1): the vertex links are
+    # connected, the link of (0, 1) is the two edges {2, 3} and {4, 5}
+    X = build_complex([(0, 1, 2, 3), (0, 1, 4, 5)])
+    assert link_lambda2(X, 0).shape == (6,)
+    message = r"^link of \(0, 1\) has a disconnected 1-skeleton$"
+    with pytest.raises(HypothesisError, match=message):
+        link_lambda2(X, 1)
+    with pytest.raises(HypothesisError, match=message):
+        gamma_profile(X)
+    with pytest.raises(HypothesisError, match=message):
+        is_local_spectral_expander(X, 0.5)
 
 
 def test_gamma_profile_disconnected_link_named():

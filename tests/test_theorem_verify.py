@@ -268,6 +268,39 @@ def test_bootstrap_expectation_identity(all_fixtures):
             assert abs(lhs - rhs) <= 1e-12
 
 
+def test_bootstrap_link_tables_match_link_gamma(all_fixtures, skewed83):
+    # the tables read off the per-face link spectra of X equal the tables of
+    # the vertex links' own gamma profiles
+    for _, X in all_fixtures + [("skewed_complete83", skewed83)]:
+        for k in range(1, X.top_dim):
+            cert = bootstrap_certificate(X, k)
+            assert list(cert.link_tables) == list(X.faces(0))
+            for v in X.faces(0):
+                link = link_of(X, v)
+                expect = lambda_table(gamma_profile(link), link.top_dim - 1)
+                got = cert.link_tables[v]
+                assert got.gamma.keys() == expect.gamma.keys()
+                assert got.values.keys() == expect.values.keys()
+                for j, g in expect.gamma.items():
+                    assert abs(got.gamma[j] - g) <= 1e-14
+                for key, value in expect.values.items():
+                    assert abs(got.values[key] - value) <= 1e-14
+
+
+def test_trickling_residual_matches_per_sample_route(all_fixtures, skewed83):
+    # one draw and one gather per vertex against one sample and one view()
+    # at a time, on the same stream
+    for _, X in all_fixtures + [("skewed_complete83", skewed83)]:
+        if X.top_dim < 2:
+            continue
+        for samples in (0, 1, 7):
+            rep = trickling_down_check(X, samples=samples, seed=5)
+            expect = oracle.trickling_residual_scan(X, samples, 5)
+            assert abs(rep.advantage_residual - expect) <= 1e-15
+            assert rep.advantage_residual <= 1e-12
+    assert trickling_down_check(skewed83, samples=-3).advantage_residual == 0.0
+
+
 def test_trickling_down_tight(c42):
     rep = trickling_down_check(c42)
     assert rep.lambda_local == pytest.approx(-0.5, abs=1e-9)
