@@ -46,7 +46,6 @@ from .level_decomp import (
     lift_to_zero,
     proper_decompose,
     proper_level_basis,
-    respects_walk_residual,
     view,
 )
 from .theorem_verify import (
@@ -67,7 +66,6 @@ from .oriented_topology import (
     OrientedCochain,
     balanced_check,
     coboundary,
-    k_level_check,
     local_minimality_residuals,
     minimal_representative,
 )

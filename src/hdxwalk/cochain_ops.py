@@ -10,15 +10,14 @@ Every operator is materialized as a dense matrix (rows indexed by target
 faces, columns by source faces); the complexes here are desk scale, which
 keeps adjointness and spectrum checks exact to near machine precision.
 ``diff``, ``adjoint_diff`` and the non-lazy walk are written by one numpy
-scatter over the subface index array ``complex_core._sub``.
-Alongside the compositional definitions, the explicit entrywise formulas
-(``*_explicit``) are implemented independently so the two routes can be
-compared rather than trusted.
+scatter over the subface index array ``complex_core._sub``; the multi-step
+and up-down/down-up walks are products of those matrices.  Each operator
+has this one route here; the loop-based entrywise tables the tests compare
+them against live in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,23 +28,17 @@ __all__ = [
     "Cochain",
     "LinOp",
     "adjoint_diff",
-    "compose",
     "constant_projection",
     "diff",
     "down_up",
-    "down_up_explicit",
-    "identity_op",
     "inner_product",
     "localize",
     "multi_down",
-    "multi_down_explicit",
     "multi_up",
-    "multi_up_explicit",
     "nonlazy",
     "nonlazy_from_iup",
     "norm_sq",
     "up_down",
-    "up_down_explicit",
     "weight_vector",
 ]
 
@@ -108,16 +101,12 @@ class LinOp:
         return self.apply(f)
 
 
-def compose(A: LinOp, B: LinOp) -> LinOp:
-    """The map ``A after B``."""
-    if B.target_dim != A.source_dim:
-        raise ComplexError(
-            f"cannot compose: inner dimensions {B.target_dim} != {A.source_dim}"
-        )
+def _compose(A: LinOp, B: LinOp) -> LinOp:
+    """The map ``A after B`` (inner dimensions agree at every caller)."""
     return LinOp(B.source_dim, A.target_dim, A.matrix @ B.matrix)
 
 
-def identity_op(X, k) -> LinOp:
+def _identity_op(X, k) -> LinOp:
     return LinOp(k, k, np.eye(X.n_faces(k)))
 
 
@@ -222,12 +211,12 @@ def multi_up(X, k, i) -> LinOp:
     if i < 0 or not -1 <= k or k + i > X.top_dim:
         raise ComplexError(f"multi_up range violation: k={k}, i={i}, d={X.top_dim}")
     if i == 0:
-        return identity_op(X, k)
+        return _identity_op(X, k)
 
     def build():
         op = diff(X, k)
         for j in range(k + 1, k + i):
-            op = compose(diff(X, j), op)
+            op = _compose(diff(X, j), op)
         return op
 
     return _cached_op(X, ("multi_up", k, i), build)
@@ -238,52 +227,15 @@ def multi_down(X, k, i) -> LinOp:
     if i < 0 or not -1 <= k or k + i > X.top_dim:
         raise ComplexError(f"multi_down range violation: k={k}, i={i}, d={X.top_dim}")
     if i == 0:
-        return identity_op(X, k)
+        return _identity_op(X, k)
 
     def build():
         op = adjoint_diff(X, k + i - 1)
         for j in range(k + i - 2, k - 1, -1):
-            op = compose(adjoint_diff(X, j), op)
+            op = _compose(adjoint_diff(X, j), op)
         return op
 
     return _cached_op(X, ("multi_down", k, i), build)
-
-
-def multi_up_explicit(X, k, i) -> LinOp:
-    """Closed form of :func:`multi_up`: uniform average over contained k-faces."""
-    if i < 0 or not -1 <= k or k + i > X.top_dim:
-        raise ComplexError(f"multi_up range violation: k={k}, i={i}, d={X.top_dim}")
-    if i == 0:
-        return identity_op(X, k)
-    from itertools import combinations
-
-    rows = X.faces(k + i)
-    mat = np.zeros((len(rows), X.n_faces(k)))
-    coeff = 1.0 / math.comb(k + i + 1, k + 1)
-    for r, sigma in enumerate(rows):
-        for tau in combinations(sigma, k + 1):
-            mat[r, X.face_index[tau]] += coeff
-    return LinOp(k, k + i, mat)
-
-
-def multi_down_explicit(X, k, i) -> LinOp:
-    """Closed form of :func:`multi_down`: link-weighted average over the
-    (k+i)-faces containing each k-face."""
-    if i < 0 or not -1 <= k or k + i > X.top_dim:
-        raise ComplexError(f"multi_down range violation: k={k}, i={i}, d={X.top_dim}")
-    if i == 0:
-        return identity_op(X, k)
-    from itertools import combinations
-
-    rows = X.faces(k)
-    cols = X.faces(k + i)
-    mat = np.zeros((len(rows), len(cols)))
-    denom = math.comb(k + i + 1, k + 1)
-    for c, rho in enumerate(cols):
-        w_rho = X.weight[rho]
-        for tau in combinations(rho, k + 1):
-            mat[X.face_index[tau], c] += w_rho / (denom * X.weight[tau])
-    return LinOp(k + i, k, mat)
 
 
 def up_down(X, k, i=1) -> LinOp:
@@ -292,7 +244,7 @@ def up_down(X, k, i=1) -> LinOp:
     if i < 1 or k < 0 or k + i > X.top_dim:
         raise ComplexError(f"up_down range violation: k={k}, i={i}, d={X.top_dim}")
     return _cached_op(
-        X, ("up_down", k, i), lambda: compose(multi_down(X, k, i), multi_up(X, k, i))
+        X, ("up_down", k, i), lambda: _compose(multi_down(X, k, i), multi_up(X, k, i))
     )
 
 
@@ -308,61 +260,8 @@ def down_up(X, k, i=1) -> LinOp:
     return _cached_op(
         X,
         ("down_up", k, i),
-        lambda: compose(multi_up(X, k - i, i), multi_down(X, k - i, i)),
+        lambda: _compose(multi_up(X, k - i, i), multi_down(X, k - i, i)),
     )
-
-
-def up_down_explicit(X, k) -> LinOp:
-    """Entrywise table of the one-step up-down walk: diagonal ``1/(k+2)``,
-    neighbour entry ``w_s(t - s) / (k+2)`` when ``s | t`` is a (k+1)-face."""
-    if k < 0 or k + 1 > X.top_dim:
-        raise ComplexError(f"up_down range violation: k={k}, d={X.top_dim}")
-    n = X.n_faces(k)
-    mat = np.zeros((n, n))
-    for s in range(n):
-        mat[s, s] = 1.0 / (k + 2)
-    _scatter_neighbors(X, k, mat, 1.0 / (k + 2))
-    return LinOp(k, k, mat)
-
-
-def down_up_explicit(X, k) -> LinOp:
-    """Entrywise table of the one-step down-up walk."""
-    if k < 0 or k > X.top_dim:
-        raise ComplexError(f"down_up range violation: k={k}")
-    from itertools import combinations
-
-    faces_k = X.faces(k)
-    n = len(faces_k)
-    mat = np.zeros((n, n))
-    coeff = 1.0 / (k + 1)
-    for r, sigma in enumerate(faces_k):
-        # diagonal: average over the (k-1)-subfaces t of w_t(sigma \ t)
-        for tau in combinations(sigma, k):
-            mat[r, r] += coeff * X.weight[sigma] / ((k + 1) * X.weight[tau])
-    for r, sigma in enumerate(faces_k):
-        sset = set(sigma)
-        for c, tau in enumerate(faces_k):
-            if c == r:
-                continue
-            inter = tuple(v for v in tau if v in sset)
-            if len(inter) == k and inter in X.weight:
-                # w_inter(tau \ inter) with dim(inter)=k-1, |tau \ inter|=1
-                mat[r, c] = coeff * X.weight[tau] / ((k + 1) * X.weight[inter])
-    return LinOp(k, k, mat)
-
-
-def _scatter_neighbors(X, k, mat, scale):
-    """Write ``scale * w_s(t - s)`` at [s, t] for all k-face pairs sharing a
-    (k+1)-face, in one scatter over the subface array of the (k+1)-faces.
-    Two distinct k-faces span at most one (k+1)-face, so every entry is
-    written once."""
-    sub = _sub(X, k + 1)
-    a = np.repeat(sub, k + 2, axis=1)  # [rho, (p, q)] -> sub[rho, p]
-    b = np.tile(sub, k + 2)  # [rho, (p, q)] -> sub[rho, q]
-    off = a != b
-    # w_sigma(v) = w(rho) / ((k+2) w(sigma))
-    vals = scale * weight_vector(X, k + 1)[:, None] / ((k + 2) * weight_vector(X, k)[a])
-    mat[a[off], b[off]] = vals[off]
 
 
 def nonlazy(X, k) -> LinOp:
@@ -378,11 +277,21 @@ def nonlazy(X, k) -> LinOp:
         raise ComplexError(f"nonlazy needs 0 <= k < {X.top_dim}, got {k}")
 
     def build():
+        # one scatter over the subface array of the (k+1)-faces: every
+        # ordered pair (p, q) of subfaces of rho is a walk step; two
+        # distinct k-faces span at most one (k+1)-face, so every entry is
+        # written once
+        sub = _sub(X, k + 1)
+        a = np.repeat(sub, k + 2, axis=1)  # [rho, (p, q)] -> sub[rho, p]
+        b = np.tile(sub, k + 2)  # [rho, (p, q)] -> sub[rho, q]
+        off = a != b
+        # w_s(v) / (k+1) = w(rho) / ((k+1)(k+2) w(s))
+        vals = (1.0 / (k + 1)) * weight_vector(X, k + 1)[:, None] / (
+            (k + 2) * weight_vector(X, k)[a]
+        )
         n = X.n_faces(k)
         mat = np.zeros((n, n))
-        # entry w_s(v)/(k+1) = w(rho) / ((k+1)(k+2) w(s)); the helper divides
-        # by (k+2) already
-        _scatter_neighbors(X, k, mat, 1.0 / (k + 1))
+        mat[a[off], b[off]] = vals[off]
         return LinOp(k, k, mat)
 
     return _cached_op(X, ("nonlazy", k), build)

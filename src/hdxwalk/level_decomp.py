@@ -17,13 +17,13 @@ the orthogonal decomposition ``f = f_{-1} + f_0 + ... + f_k``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .complex_core import ComplexError, _cached_op, link_of
+from .complex_core import ComplexError, _cached_op, canonical_face, link_of
 from .cochain_ops import (
     Cochain,
-    inner_product,
     localize,
     multi_up,
     nonlazy,
@@ -39,41 +39,20 @@ __all__ = [
     "LevelBasis",
     "LevelDecomposition",
     "Viewer",
-    "level_constraint_matrix",
     "level_projector",
     "level_space",
     "lift_to_zero",
     "proper_decompose",
     "proper_level_basis",
-    "respects_walk_residual",
     "restriction_level_space",
     "view",
 ]
 
 
-@dataclass(frozen=True)
-class Viewer:
-    """One of the two link viewers; ``dim_diff`` is the drop in cochain
-    dimension when viewing in a vertex link (0 for restriction, 1 for
-    localization)."""
-
-    kind: str
-    dim_diff: int
-
-
-RESTRICTION = Viewer("restriction", 0)
-LOCALIZATION = Viewer("localization", 1)
-
-
-def view(viewer: Viewer, X, f: Cochain, sigma, link=None) -> Cochain:
-    """View ``f`` in the link of ``sigma`` through the given viewer."""
-    from .complex_core import canonical_face
-
+def _restrict(X, f: Cochain, sigma, link=None) -> Cochain:
+    """Restriction ``f|_sigma(t) = f(t)`` on the link of ``sigma``; the
+    dimension does not change."""
     sigma = canonical_face(sigma)
-    if viewer.kind == "localization":
-        return localize(X, f, sigma, link=link)
-    if viewer.kind != "restriction":
-        raise ComplexError(f"unknown viewer kind {viewer.kind!r}")
     if sigma not in X.weight:
         raise ComplexError(f"face {sigma} is not in the complex")
     i = len(sigma) - 1
@@ -90,30 +69,24 @@ def view(viewer: Viewer, X, f: Cochain, sigma, link=None) -> Cochain:
     return Cochain(link, f.dim, vals)
 
 
-def respects_walk_residual(viewer: Viewer, X, k, f: Cochain) -> float:
-    """|<M_k f, f> - E_v <M_{k-D} V_v f, V_v f>| over the vertex links.
+@dataclass(frozen=True)
+class Viewer:
+    """One of the two link viewers: ``see(X, f, sigma, link)`` views ``f``
+    in the link of ``sigma``, and ``dim_diff`` is the drop in cochain
+    dimension when viewing in a vertex link (0 for restriction, 1 for
+    localization)."""
 
-    Both viewers provably respect the walk, so this is a numerical-zero
-    certificate (<= 1e-10 in practice).
-    """
-    if f.dim != k:
-        raise ComplexError(f"cochain dimension {f.dim} != k={k}")
-    r = k - viewer.dim_diff
-    if viewer.kind == "localization" and k < 1:
-        raise ComplexError("localization to vertex links needs k >= 1")
-    if k > X.top_dim - 1 or r > X.top_dim - 2:
-        raise ComplexError(
-            f"walk dimensions out of range for k={k} under {viewer.kind}"
-        )
-    M = nonlazy(X, k)
-    lhs = inner_product(X, M(f), f)
-    rhs = 0.0
-    for v in X.faces(0):
-        link = link_of(X, v)
-        fv = view(viewer, X, f, v, link=link)
-        Mv = nonlazy(link, r)
-        rhs += X.weight[v] * inner_product(link, Mv(fv), fv)
-    return abs(lhs - rhs)
+    see: Callable
+    dim_diff: int
+
+
+RESTRICTION = Viewer(_restrict, 0)
+LOCALIZATION = Viewer(localize, 1)
+
+
+def view(viewer: Viewer, X, f: Cochain, sigma, link=None) -> Cochain:
+    """View ``f`` in the link of ``sigma`` through the given viewer."""
+    return viewer.see(X, f, sigma, link=link)
 
 
 @dataclass(frozen=True)
@@ -173,32 +146,12 @@ def _proper_bases(X, k):
 
 def level_space(X, k, i) -> LevelBasis:
     """i-level k-cochains under localization: the proper levels i..k, which
-    span the W-complement of the lift from the (i-1)-faces (cross-checked by
-    :func:`level_constraint_matrix`)."""
+    span the W-complement of the lift from the (i-1)-faces, i.e. the
+    cochains whose localized mean vanishes at every (i-1)-face."""
     if not 0 <= i <= k <= X.top_dim:
         raise ComplexError(f"level_space needs 0 <= i <= k <= {X.top_dim}")
     bases = _proper_bases(X, k)
     return LevelBasis(k, i, np.hstack([bases[j] for j in range(i, k + 1)]))
-
-
-def level_constraint_matrix(X, k, i) -> np.ndarray:
-    """Per-face constraint rows: row ``s`` (an (i-1)-face) holds the link
-    weights ``w_s(t - s)`` against which an i-level cochain must average to
-    zero.  Built independently of the operator chain."""
-    import math
-
-    if not 0 <= i <= k <= X.top_dim:
-        raise ComplexError(f"constraints need 0 <= i <= k <= {X.top_dim}")
-    rows = X.faces(i - 1)
-    cols = X.faces(k)
-    mat = np.zeros((len(rows), len(cols)))
-    denom = math.comb(k + 1, i)
-    for r, sigma in enumerate(rows):
-        sset = set(sigma)
-        for c, tau in enumerate(cols):
-            if sset <= set(tau):
-                mat[r, c] = X.weight[tau] / (denom * X.weight[sigma])
-    return mat
 
 
 def restriction_level_space(X, i) -> LevelBasis:

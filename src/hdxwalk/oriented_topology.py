@@ -14,21 +14,18 @@ k-faces whose weighted density looks the same from every i-face's link.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
-from .complex_core import ComplexError, _faces_over, _sub, canonical_face, link_of
-from .cochain_ops import Cochain, LinOp, inner_product, weight_vector
+from .complex_core import ComplexError, _sub, canonical_face
+from .cochain_ops import Cochain, LinOp, multi_down, weight_vector
 
 __all__ = [
     "BalanceReport",
     "OrientedCochain",
     "balanced_check",
     "coboundary",
-    "k_level_check",
     "local_minimality_residuals",
     "minimal_representative",
     "perm_sign",
@@ -118,41 +115,17 @@ def local_minimality_residuals(X, f: OrientedCochain) -> dict:
     The localization of ``f`` to a (k-1)-face ``s`` sends each link vertex
     ``v`` to the signed evaluation ``f(s, v)``; since the 0-dimensional
     coboundaries of a link are the constants, the localization is minimal
-    exactly when its link-weighted mean vanishes.
+    exactly when its link-weighted mean vanishes.  That mean is one adjoint
+    average of ``f``: ``|(delta^T W f)(s)| / ((k+1) w(s))`` with ``delta``
+    the coboundary ``delta_{k-1}`` (the sign ``(-1)^k`` of moving ``v`` to
+    its place cancels under the absolute value).
     """
     k = f.dim
     if k < 1:
         raise ComplexError("local minimality needs dimension >= 1")
-    residuals = {}
-    for sigma in X.faces(k - 1):
-        w_sigma = X.weight[sigma]
-        acc = 0.0
-        sset = set(sigma)
-        for tau in _faces_over(X, sigma, k):
-            (v,) = set(tau) - sset
-            wv = X.weight[tau] / ((k + 1) * w_sigma)
-            acc += wv * f.evaluate(sigma + (v,))
-        residuals[sigma] = abs(acc)
-    return residuals
-
-
-def k_level_check(X, f: OrientedCochain) -> float:
-    """Max over (k-1)-faces of |<localized f, 1>| in the face's link.
-
-    Computes the same quantity as :func:`local_minimality_residuals` through
-    the link/inner-product machinery instead of direct weight ratios; kept
-    as an independent code path on purpose.
-    """
-    k = f.dim
-    if k < 1:
-        raise ComplexError("k_level_check needs dimension >= 1")
-    worst = 0.0
-    for sigma in X.faces(k - 1):
-        link = link_of(X, sigma)
-        vals = np.array([f.evaluate(sigma + (v,)) for (v,) in link.faces(0)])
-        loc = Cochain(link, 0, vals)
-        worst = max(worst, abs(inner_product(link, loc, Cochain.ones(link, 0))))
-    return worst
+    means = coboundary(X, k - 1).matrix.T @ (weight_vector(X, k) * f.values)
+    residuals = np.abs(means) / ((k + 1) * weight_vector(X, k - 1))
+    return dict(zip(X.faces(k - 1), residuals.tolist()))
 
 
 @dataclass(frozen=True)
@@ -161,8 +134,9 @@ class BalanceReport:
     every i-face's link as it does globally.
 
     ``companion_residual`` is the worst localization mean of the centered
-    indicator over the i-faces, evaluated through the link machinery; for a
-    perfectly balanced set it vanishes with the defect.
+    indicator over the i-faces, the same adjoint average applied to
+    ``1_S - total`` instead of ``1_S``; for a perfectly balanced set it
+    vanishes with the defect.
     """
 
     faces: tuple
@@ -180,7 +154,9 @@ class BalanceReport:
 def balanced_check(X, S, i) -> BalanceReport:
     """Defect of perfect balance of ``S`` over links of dimension ``i``:
     ``max over i-faces s of | total weight of S - local S-mass in the link
-    of s |``."""
+    of s |``.  The local S-masses are ``multi_down(X, i, k-i) @ 1_S``; the
+    same matrix applied to the centered indicator gives the companion
+    residual."""
     S = [canonical_face(t) for t in S]
     if not S:
         raise ComplexError("empty face set")
@@ -192,35 +168,17 @@ def balanced_check(X, S, i) -> BalanceReport:
             raise ComplexError(f"face {t} is not a {k}-face of the complex")
     if not -1 <= i < k:
         raise ComplexError(f"balance level must satisfy -1 <= i < {k}")
-    total = sum(X.weight[t] for t in S)
-    denom = math.comb(k + 1, i + 1)
-    over = {}  # i-face -> the faces of S containing it, in the order of S
-    for t in S:
-        for sigma in combinations(t, i + 1):
-            over.setdefault(sigma, []).append(t)
-    per_face = {}
-    for sigma in X.faces(i):
-        local = sum(
-            X.weight[t] / (denom * X.weight[sigma]) for t in over.get(sigma, ())
-        )
-        per_face[sigma] = abs(total - local)
-    defect = max(per_face.values())
-
-    from .cochain_ops import localize
-
     indicator = np.zeros(X.n_faces(k))
-    for t in S:
-        indicator[X.face_index[t]] = 1.0
-    centered = Cochain(X, k, indicator - total)
-    companion = 0.0
-    for sigma in X.faces(i):
-        if i == -1:
-            mean = inner_product(X, centered, Cochain.ones(X, k))
-        else:
-            link = link_of(X, sigma)
-            loc = localize(X, centered, sigma, link=link)
-            mean = inner_product(link, loc, Cochain.ones(link, loc.dim))
-        companion = max(companion, abs(mean))
+    indicator[[X.face_index[t] for t in S]] = 1.0
+    total = float(weight_vector(X, k) @ indicator)
+    M = multi_down(X, i, k - i).matrix
+    per_face = np.abs(total - M @ indicator)
+    companion = np.abs(M @ (indicator - total))
     return BalanceReport(
-        tuple(sorted(S)), k, i, float(defect), float(companion), per_face
+        tuple(sorted(S)),
+        k,
+        i,
+        float(per_face.max()),
+        float(companion.max()),
+        dict(zip(X.faces(i), per_face.tolist())),
     )

@@ -13,7 +13,8 @@ builds no link complex.  The symmetrized link walk has the closed form
 scattered from the subface arrays ``_sub(X, j+1)`` and ``_sub(X, j+2)``
 (cache keys ``("sub", k)``) and the weights, and diagonalized in one
 batched call per link size.  Connectivity is decided combinatorially on
-the same edges; ``random_pure`` in :mod:`hdxwalk.cli_io` uses that test too.
+the same edges; ``is_connected`` and ``random_pure`` in
+:mod:`hdxwalk.cli_io` use that test too.
 ``gamma_profile`` (the worst value per ``j``), ``lambda2_skeleton`` (the
 entry at ``j = -1``), ``is_local_spectral_expander`` and the link tables
 of :mod:`hdxwalk.theorem_verify` all read this table; its numbers drive
@@ -139,26 +140,13 @@ def psd_sqrt(X, op: LinOp) -> LinOp:
 
 
 def is_connected(X) -> bool:
-    """Union-find connectivity of the 1-skeleton."""
+    """Connectivity of the 1-skeleton, decided on the link graph of the
+    empty face (see :func:`_link_graph`)."""
     if X.top_dim < 0:
         return False
-    verts = X.faces(0)
-    if len(verts) <= 1:
+    if X.n_faces(0) <= 1:
         return True
-    if X.top_dim < 1:
-        return False
-    parent = {v: v for v in verts}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in X.faces(1):
-        parent[find((u,))] = find((v,))
-    root = find(verts[0])
-    return all(find(v) == root for v in verts)
+    return X.top_dim >= 1 and _link_graph(X, -1)[-1] is None
 
 
 def _link_incidences(X, j):

@@ -2,15 +2,43 @@
 
 Everything here is written from the defining formulas with plain Python
 loops and dictionary lookups, deliberately avoiding the package's matrix
-pipelines, so agreement between the two routes is meaningful.
+pipelines, so agreement between the two routes is meaningful.  The
+routes at the end that the package computes by one matrix product (link
+spectra, walk compatibility, local minimality, balance) instead build
+each link with ``link_of`` and evaluate inside it.
+``weighted_pure_complexes`` is the hypothesis strategy the property tests
+draw their complexes from.
 """
 
 import math
 from itertools import combinations
 
 import numpy as np
+from hypothesis import strategies as st
 
-from hdxwalk.complex_core import WEIGHT_TOL, ComplexError, PureComplex, canonical_face
+from hdxwalk.complex_core import (
+    WEIGHT_TOL,
+    ComplexError,
+    PureComplex,
+    build_complex,
+    canonical_face,
+)
+
+
+@st.composite
+def weighted_pure_complexes(draw):
+    """A random pure complex on at most 7 vertices: a subset of the facets
+    of complete(n, d), weights log-uniform over up to 12 decades."""
+    n = draw(st.integers(4, 7))
+    d = draw(st.integers(1, min(3, n - 2)))
+    pool = list(combinations(range(n), d + 1))
+    keep = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+    keep[draw(st.integers(0, len(pool) - 1))] = True
+    facets = [F for F, kept in zip(pool, keep) if kept]
+    spread = draw(st.floats(0.0, 12.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    exps = np.random.default_rng(seed).uniform(-spread, 0.0, len(facets))
+    return build_complex(facets, list(10.0**exps))
 
 
 def weights_from_facets(facets, facet_weights):
@@ -257,3 +285,93 @@ def trickling_residual_scan(X, samples, seed):
             local_mean = float(weight_vector(link, 0) @ fv.values)
             residual = max(residual, abs(local_mean - Mf[pos]))
     return residual
+
+
+def level_constraint_matrix(X, k, i):
+    """Per-face constraint rows: row ``s`` (an (i-1)-face) holds the link
+    weights ``w_s(t - s)`` against which an i-level k-cochain must average
+    to zero, by scanning every k-face for those over ``s``."""
+    rows = X.faces(i - 1)
+    cols = X.faces(k)
+    mat = np.zeros((len(rows), len(cols)))
+    denom = math.comb(k + 1, i)
+    for r, sigma in enumerate(rows):
+        sset = set(sigma)
+        for c, tau in enumerate(cols):
+            if sset <= set(tau):
+                mat[r, c] = X.weight[tau] / (denom * X.weight[sigma])
+    return mat
+
+
+def respects_walk_residual(viewer, X, k, f):
+    """|<M_k f, f> - E_v <M_{k-D} V_v f, V_v f>| over the vertex links, with
+    ``M`` the non-lazy walk and ``V_v`` the viewer at ``v``.  Both viewers
+    provably respect the walk, so this is a numerical zero."""
+    from hdxwalk.cochain_ops import inner_product, nonlazy
+    from hdxwalk.complex_core import link_of
+    from hdxwalk.level_decomp import view
+
+    r = k - viewer.dim_diff
+    lhs = inner_product(X, nonlazy(X, k)(f), f)
+    rhs = 0.0
+    for v in X.faces(0):
+        link = link_of(X, v)
+        fv = view(viewer, X, f, v, link=link)
+        rhs += X.weight[v] * inner_product(link, nonlazy(link, r)(fv), fv)
+    return abs(lhs - rhs)
+
+
+def k_level_scan(X, f):
+    """Max over (k-1)-faces of |<localized f, 1>| in the face's link, the
+    link built with ``link_of``: the second route for
+    ``local_minimality_residuals``."""
+    from hdxwalk.cochain_ops import Cochain, inner_product
+    from hdxwalk.complex_core import link_of
+
+    k = f.dim
+    worst = 0.0
+    for sigma in X.faces(k - 1):
+        link = link_of(X, sigma)
+        vals = np.array([f.evaluate(sigma + (v,)) for (v,) in link.faces(0)])
+        loc = Cochain(link, 0, vals)
+        worst = max(worst, abs(inner_product(link, loc, Cochain.ones(link, 0))))
+    return worst
+
+
+def balance_scan(X, S, i):
+    """``balanced_check``'s per-face defects and companion residual by
+    loops: the local S-mass of each i-face summed over the faces of S
+    containing it, and the centered indicator localized into each i-face's
+    link with ``link_of`` and ``localize``.  Returns ``(per_face,
+    companion)``."""
+    from hdxwalk.cochain_ops import Cochain, inner_product, localize
+    from hdxwalk.complex_core import link_of
+
+    S = [canonical_face(t) for t in S]
+    k = len(S[0]) - 1
+    total = sum(X.weight[t] for t in S)
+    denom = math.comb(k + 1, i + 1)
+    over = {}  # i-face -> the faces of S containing it
+    for t in S:
+        for sigma in combinations(t, i + 1):
+            over.setdefault(sigma, []).append(t)
+    per_face = {}
+    for sigma in X.faces(i):
+        local = sum(
+            X.weight[t] / (denom * X.weight[sigma]) for t in over.get(sigma, ())
+        )
+        per_face[sigma] = abs(total - local)
+    indicator = np.zeros(X.n_faces(k))
+    for t in S:
+        indicator[X.face_index[t]] = 1.0
+    centered = Cochain(X, k, indicator - total)
+    companion = 0.0
+    for sigma in X.faces(i):
+        if i == -1:
+            mean = inner_product(X, centered, Cochain.ones(X, k))
+        else:
+            link = link_of(X, sigma)
+            loc = localize(X, centered, sigma, link=link)
+            mean = inner_product(link, loc, Cochain.ones(link, loc.dim))
+        companion = max(companion, abs(mean))
+    return per_face, companion

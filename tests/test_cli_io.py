@@ -227,7 +227,7 @@ def test_cli_minimize(c42_file, tmp_path):
     assert r.returncode == 0, r.stderr
     rep = json.loads(r.stdout)
     assert rep["local_minimality_residual"] <= 1e-10
-    assert rep["k_level_residual"] <= 1e-10
+    assert rep["k_level_residual"] == rep["local_minimality_residual"]
 
 
 def test_cli_exit_codes(tmp_path, c42_file):

@@ -20,12 +20,6 @@ from hdxwalk import (
     up_down,
     weight_vector,
 )
-from hdxwalk.cochain_ops import (
-    down_up_explicit,
-    multi_down_explicit,
-    multi_up_explicit,
-    up_down_explicit,
-)
 
 TOL = 1e-12
 
@@ -159,8 +153,6 @@ def test_multi_vs_closed_form(all_fixtures):
             for i in range(0, d - k + 1):
                 up = multi_up(X, k, i).matrix
                 dn = multi_down(X, k, i).matrix
-                assert np.allclose(up, multi_up_explicit(X, k, i).matrix, atol=TOL)
-                assert np.allclose(dn, multi_down_explicit(X, k, i).matrix, atol=TOL)
                 assert np.allclose(up, oracle.multi_up_matrix_loops(X, k, i), atol=TOL)
                 assert np.allclose(dn, oracle.multi_down_matrix_loops(X, k, i), atol=TOL)
 
@@ -190,15 +182,9 @@ def test_up_down_tables(all_fixtures):
     for _, X in all_fixtures:
         for k in range(0, X.top_dim):
             assert np.allclose(
-                up_down(X, k, 1).matrix, up_down_explicit(X, k).matrix, atol=TOL
-            )
-            assert np.allclose(
                 up_down(X, k, 1).matrix, oracle.up_down_matrix_loops(X, k), atol=TOL
             )
         for k in range(1, X.top_dim + 1):
-            assert np.allclose(
-                down_up(X, k, 1).matrix, down_up_explicit(X, k).matrix, atol=TOL
-            )
             assert np.allclose(
                 down_up(X, k, 1).matrix, oracle.down_up_matrix_loops(X, k), atol=TOL
             )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from hdxwalk import (
@@ -8,12 +10,11 @@ from hdxwalk import (
     balanced_check,
     coboundary,
     inner_product,
-    k_level_check,
     local_minimality_residuals,
     minimal_representative,
     norm_sq,
 )
-from hdxwalk.level_decomp import level_constraint_matrix, level_projector
+from hdxwalk.level_decomp import level_projector
 from hdxwalk.oriented_topology import OrientedCochain, perm_sign
 
 TOL = 1e-12
@@ -114,7 +115,7 @@ def test_local_minimality_cyclic_flow(t3):
     res = local_minimality_residuals(t3, flow)
     assert set(res) == {(0,), (1,), (2,)}
     assert max(res.values()) <= TOL
-    assert k_level_check(t3, flow) <= TOL
+    assert oracle.k_level_scan(t3, flow) <= TOL
 
 
 def test_coboundary_usually_not_locally_minimal(c42):
@@ -143,17 +144,17 @@ def test_minimal_implies_locally_minimal_implies_k_level(all_fixtures):
                 fmin = minimal_representative(X, raw)
                 res = local_minimality_residuals(X, fmin)
                 assert max(res.values()) <= RES_TOL
-                assert k_level_check(X, fmin) <= RES_TOL
+                assert oracle.k_level_scan(X, fmin) <= RES_TOL
 
 
 def test_k_level_matches_residuals(all_fixtures):
-    # two independent code paths for the same quantity
+    # the coboundary product against the link-building scan
     rng = np.random.default_rng(33)
     for _, X in all_fixtures:
         k = X.top_dim
         f = OrientedCochain(X, k, rng.standard_normal(X.n_faces(k)))
         res = max(local_minimality_residuals(X, f).values())
-        assert abs(res - k_level_check(X, f)) <= TOL
+        assert abs(res - oracle.k_level_scan(X, f)) <= TOL
 
 
 def test_balanced_matching(c42):
@@ -201,10 +202,35 @@ def test_balanced_centered_indicator_is_level(c42):
     total = sum(c42.weight[t] for t in S)
     centered = ind - total
     # zero localization mean at every vertex, via the constraint rows
-    C1 = level_constraint_matrix(c42, 1, 1)
+    C1 = oracle.level_constraint_matrix(c42, 1, 1)
     assert np.max(np.abs(C1 @ centered)) <= 1e-12
     # membership in the 0-level space (projection residual)
     P0 = level_projector(c42, 1, 0)
     assert np.max(np.abs(P0 @ centered - centered)) <= RES_TOL
     P1 = level_projector(c42, 1, 1)
     assert np.max(np.abs(P1 @ centered - centered)) <= RES_TOL
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(X=oracle.weighted_pure_complexes(), seed=st.integers(0, 2**32 - 1))
+def test_residuals_and_balance_match_scans(X, seed):
+    # Every localized mean is a convex combination (the link weights
+    # w(t) / ((k+1) w(s)) sum to 1 at each face s), so rounding is relative
+    # to max |f| for the residuals and to 1 for the S-masses, whatever the
+    # spread of the weights.
+    rng = np.random.default_rng(seed)
+    eps = np.finfo(float).eps
+    for k in range(1, X.top_dim + 1):
+        f = OrientedCochain(X, k, rng.standard_normal(X.n_faces(k)))
+        res = local_minimality_residuals(X, f)
+        assert list(res) == X.faces(k - 1)
+        tol = 64 * eps * np.max(np.abs(f.values))
+        assert abs(max(res.values()) - oracle.k_level_scan(X, f)) <= tol
+        S = [t for t in X.faces(k) if rng.random() < 0.5] or X.faces(k)[:1]
+        for i in range(-1, k):
+            rep = balanced_check(X, S, i)
+            per_face, companion = oracle.balance_scan(X, S, i)
+            assert list(rep.per_face) == list(per_face)
+            assert max(abs(rep.per_face[s] - per_face[s]) for s in per_face) <= 64 * eps
+            assert rep.defect == max(rep.per_face.values())
+            assert abs(rep.companion_residual - companion) <= 64 * eps

@@ -447,28 +447,12 @@ def test_random_block_is_successive_draws(all_fixtures):
                 assert np.allclose(block[:, c], ref, rtol=0, atol=1e-13)
 
 
-@st.composite
-def weighted_pure_complexes(draw):
-    """A random pure complex on at most 7 vertices: a subset of the facets
-    of complete(n, d), weights log-uniform over up to 12 decades."""
-    n = draw(st.integers(4, 7))
-    d = draw(st.integers(1, min(3, n - 2)))
-    pool = list(combinations(range(n), d + 1))
-    keep = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
-    keep[draw(st.integers(0, len(pool) - 1))] = True
-    facets = [F for F, kept in zip(pool, keep) if kept]
-    spread = draw(st.floats(0.0, 12.0))
-    seed = draw(st.integers(0, 2**32 - 1))
-    exps = np.random.default_rng(seed).uniform(-spread, 0.0, len(facets))
-    return build_complex(facets, list(10.0**exps))
-
-
 @settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
-@given(X=weighted_pure_complexes(), seed=st.integers(0, 2**32 - 1))
+@given(X=oracle.weighted_pure_complexes(), seed=st.integers(0, 2**32 - 1))
 def test_block_property_random_weighted_complexes(X, seed):
     try:
         gamma_profile(X)
