@@ -139,7 +139,7 @@ def norm_sq(X, f: Cochain) -> float:
     return inner_product(X, f, f)
 
 
-def localize(X, f: Cochain, sigma, link=None) -> Cochain:
+def localize(X, f: Cochain, sigma) -> Cochain:
     """Localization ``f_sigma(t) = f(sigma | t)`` on the link of ``sigma``.
 
     Requires ``dim(sigma) < dim(f)``; the result lives on ``link_of(X,
@@ -158,8 +158,7 @@ def localize(X, f: Cochain, sigma, link=None) -> Cochain:
         )
     if sigma == ():
         return f
-    if link is None:
-        link = link_of(X, sigma)
+    link = link_of(X, sigma)
     j = f.dim - i - 1
     vals = np.empty(link.n_faces(j))
     for pos, tau in enumerate(link.faces(j)):

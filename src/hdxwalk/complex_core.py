@@ -19,8 +19,9 @@ intersects the stars of sigma's vertices instead of scanning all faces.
 Downward incidence is one int array per dimension, ``_sub(X, k)``, the
 positions of each k-face's (k-1)-subfaces (cache key ``("sub", k)``);
 operator matrices and link spectra are scattered from it.
-:meth:`PureComplex.validate` and :func:`build_complex` share one
-accumulation of facet weights over the facets' subfaces.
+:meth:`PureComplex.validate` checks closure by building ``_sub`` and the
+weight recursion by pushing the facet weights down it, one dimension at a
+time.
 """
 
 from __future__ import annotations
@@ -62,20 +63,15 @@ class PureComplex:
     """Pure weighted simplicial complex.
 
     Not meant to be instantiated directly; use :func:`build_complex`,
-    :func:`link_of` or :func:`skeleton_of`.  ``from_facets`` records whether
-    the weights were produced by the downward recursion from this complex's
-    own top faces.  Skeletons copy weights verbatim, so for them the
-    recursion against the (new) top dimension does not hold and
-    :meth:`validate` skips that check.
+    :func:`link_of` or :func:`skeleton_of`.
     """
 
-    __slots__ = ("top_dim", "faces_by_dim", "weight", "face_index", "from_facets", "_cache")
+    __slots__ = ("top_dim", "faces_by_dim", "weight", "face_index", "_cache")
 
-    def __init__(self, top_dim, faces_by_dim, weight, from_facets=True):
+    def __init__(self, top_dim, faces_by_dim, weight):
         self.top_dim = top_dim
         self.faces_by_dim = faces_by_dim
         self.weight = weight
-        self.from_facets = from_facets
         self.face_index = {}
         for k in range(-1, top_dim + 1):
             for pos, face in enumerate(faces_by_dim[k]):
@@ -94,12 +90,6 @@ class PureComplex:
     def __contains__(self, face):
         return tuple(face) in self.weight
 
-    def weight_of(self, face):
-        try:
-            return self.weight[tuple(face)]
-        except KeyError:
-            raise ComplexError(f"face {tuple(face)} is not in the complex") from None
-
     def index_of(self, face):
         try:
             return self.face_index[tuple(face)]
@@ -113,10 +103,13 @@ class PureComplex:
     def validate(self, tol=WEIGHT_TOL):
         """Check closure, purity, weight normalization and the recursion.
 
-        Purity and the recursion are read off one accumulation of the facet
-        weights over the facets' subfaces, the same one
-        :func:`build_complex` uses.  Raises ComplexError on the first
-        violated invariant.
+        Closure holds when the subface index :func:`_sub` of every
+        dimension builds.  The facet weights are then pushed down it,
+        ``e(s) = (sum of e(t) over the (k+1)-faces t over s) / (k+2)``;
+        in a pure complex, skeletons included, that gives back ``w(s)``.
+        A face with no pushed mass lies under no facet (purity), and one
+        whose pushed mass is off its weight by more than ``tol`` breaks the
+        recursion.  Raises ComplexError on the first violated invariant.
         """
         d = self.top_dim
         for k in range(-1, d + 1):
@@ -133,32 +126,41 @@ class PureComplex:
                     raise ComplexError(f"non-positive weight on {face}")
                 if not math.isfinite(w):
                     raise ComplexError(f"non-finite weight on {face}")
-                if k >= 0:
-                    for sub in combinations(face, k):
-                        if sub not in self.weight:
-                            raise ComplexError(
-                                f"closure violated: {sub} missing under {face}"
-                            )
+        for k in range(d + 1):
+            try:
+                _sub(self, k)
+            except KeyError:
+                sub, face = next(
+                    (sub, face)
+                    for face in self.faces_by_dim[k]
+                    for sub in combinations(face, k)
+                    if sub not in self.face_index
+                )
+                raise ComplexError(f"closure violated: {sub} missing under {face}") from None
         if abs(self.weight[()] - 1.0) > tol:
             raise ComplexError("weight of the empty face is not 1")
-        top = self.facets
-        over = _subface_sums(top, [self.weight[F] for F in top], d)
+        stored = {
+            k: np.array([self.weight[f] for f in self.faces_by_dim[k]])
+            for k in range(-1, d + 1)
+        }
+        pushed = {d: stored[d]}
+        for k in range(d - 1, -2, -1):
+            mass = np.repeat(pushed[k + 1], k + 2)
+            pushed[k] = np.bincount(_sub(self, k + 1).ravel(), mass, len(stored[k])) / (k + 2)
         for k in range(-1, d):
-            for face in self.faces_by_dim[k]:
-                if face not in over[k]:
-                    raise ComplexError(f"purity violated at {face}")
-            total = sum(self.weight[f] for f in self.faces_by_dim[k])
+            lst = self.faces_by_dim[k]
+            if not pushed[k].all():
+                raise ComplexError(f"purity violated at {lst[np.argmin(pushed[k])]}")
+            total = sum(self.weight[f] for f in lst)
             if abs(total - 1.0) > tol:
                 raise ComplexError(f"weights of dimension {k} sum to {total!r}, not 1")
-        if abs(sum(self.weight[f] for f in top) - 1.0) > tol:
+        if abs(sum(self.weight[f] for f in self.facets) - 1.0) > tol:
             raise ComplexError("facet weights do not sum to 1")
-        if self.from_facets:
-            for k in range(-1, d):
-                denom = math.comb(d + 1, k + 1)
-                for face in self.faces_by_dim[k]:
-                    expect = over[k][face] / denom
-                    if abs(expect - self.weight[face]) > tol:
-                        raise ComplexError(f"weight recursion violated at {face}")
+        for k in range(-1, d):
+            off = np.abs(pushed[k] - stored[k]) > tol
+            if off.any():
+                face = self.faces_by_dim[k][np.argmax(off)]
+                raise ComplexError(f"weight recursion violated at {face}")
         return True
 
     def is_close(self, other, tol=WEIGHT_TOL):
@@ -213,34 +215,24 @@ def _closure(facets, facet_weights):
         total = float(sum(facet_weights))
         top_weights = [float(w) / total for w in facet_weights]
 
-    over = _subface_sums(facets, top_weights, d)
     faces_by_dim = {}
     weight = {}
     for k in range(-1, d + 1):
+        # every k-subface of the facets, with the summed weight of the
+        # facets over it added in facet order
+        over = {}
+        for F, wF in zip(facets, top_weights):
+            for sub in combinations(F, k + 1):
+                over[sub] = over.get(sub, 0.0) + wF
         denom = math.comb(d + 1, k + 1)
-        lst = sorted(over[k])
-        faces_by_dim[k] = lst
-        for face in lst:
-            weight[face] = over[k][face] / denom
+        faces_by_dim[k] = sorted(over)
+        for face in faces_by_dim[k]:
+            weight[face] = over[face] / denom
     if min(weight.values()) < sys.float_info.min:
         # the facet weights overflowed when summed, or span so many decades
         # that a normalized weight underflowed
         raise ComplexError("facet weights out of range: a weight is not a normal float")
     return PureComplex(d, faces_by_dim, weight)
-
-
-def _subface_sums(facets, facet_weights, d):
-    """For each dimension ``k`` in -1..d, every k-subface of ``facets``
-    mapped to the summed weight of the facets containing it, added in facet
-    order.  Its keys are the downward closure of the facets."""
-    over = {}
-    for k in range(-1, d + 1):
-        acc = {}
-        for F, wF in zip(facets, facet_weights):
-            for sub in combinations(F, k + 1):
-                acc[sub] = acc.get(sub, 0.0) + wF
-        over[k] = acc
-    return over
 
 
 def _cached_op(X, key, builder):
@@ -336,8 +328,9 @@ def link_of(X, sigma):
 def skeleton_of(X, i):
     """Faces of dimension at most ``i``, keeping the original weights.
 
-    Weights are copied, not recomputed, so per-dimension sums stay 1 but the
-    result is generally not re-derivable from its own top faces.
+    Weights are copied, not recomputed.  They still satisfy the recursion
+    from the skeleton's own top faces: in a pure complex the i-faces over a
+    k-face carry ``C(i+1, k+1)`` times its weight.
     """
     if not 0 <= i <= X.top_dim:
         raise ComplexError(f"skeleton dimension {i} out of range 0..{X.top_dim}")
@@ -345,7 +338,7 @@ def skeleton_of(X, i):
         return X
     faces_by_dim = {k: list(X.faces_by_dim[k]) for k in range(-1, i + 1)}
     weight = {f: X.weight[f] for k in range(-1, i + 1) for f in faces_by_dim[k]}
-    return PureComplex(i, faces_by_dim, weight, from_facets=False)
+    return PureComplex(i, faces_by_dim, weight)
 
 
 def faces(X, k):

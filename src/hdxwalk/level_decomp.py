@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-def _restrict(X, f: Cochain, sigma, link=None) -> Cochain:
+def _restrict(X, f: Cochain, sigma) -> Cochain:
     """Restriction ``f|_sigma(t) = f(t)`` on the link of ``sigma``; the
     dimension does not change."""
     sigma = canonical_face(sigma)
@@ -63,15 +63,14 @@ def _restrict(X, f: Cochain, sigma, link=None) -> Cochain:
         )
     if sigma == ():
         return f
-    if link is None:
-        link = link_of(X, sigma)
+    link = link_of(X, sigma)
     vals = np.array([f.values[X.index_of(tau)] for tau in link.faces(f.dim)])
     return Cochain(link, f.dim, vals)
 
 
 @dataclass(frozen=True)
 class Viewer:
-    """One of the two link viewers: ``see(X, f, sigma, link)`` views ``f``
+    """One of the two link viewers: ``see(X, f, sigma)`` views ``f``
     in the link of ``sigma``, and ``dim_diff`` is the drop in cochain
     dimension when viewing in a vertex link (0 for restriction, 1 for
     localization)."""
@@ -84,9 +83,9 @@ RESTRICTION = Viewer(_restrict, 0)
 LOCALIZATION = Viewer(localize, 1)
 
 
-def view(viewer: Viewer, X, f: Cochain, sigma, link=None) -> Cochain:
+def view(viewer: Viewer, X, f: Cochain, sigma) -> Cochain:
     """View ``f`` in the link of ``sigma`` through the given viewer."""
-    return viewer.see(X, f, sigma, link=link)
+    return viewer.see(X, f, sigma)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex_core import ComplexError, _sub, canonical_face
+from .complex_core import ComplexError, _cached_op, _sub, canonical_face
 from .cochain_ops import Cochain, LinOp, multi_down, weight_vector
 
 __all__ = [
@@ -88,11 +88,15 @@ def coboundary(X, i) -> LinOp:
     """
     if not -1 <= i <= X.top_dim - 1:
         raise ComplexError(f"coboundary needs -1 <= i < {X.top_dim}, got {i}")
-    sub = _sub(X, i + 1)
-    mat = np.zeros((len(sub), X.n_faces(i)))
-    # column j of sub drops the j-th vertex, which carries the sign (-1)^j
-    mat[np.arange(len(sub))[:, None], sub] = (-1.0) ** np.arange(i + 2)
-    return LinOp(i, i + 1, mat)
+
+    def build():
+        sub = _sub(X, i + 1)
+        mat = np.zeros((len(sub), X.n_faces(i)))
+        # column j of sub drops the j-th vertex, which carries the sign (-1)^j
+        mat[np.arange(len(sub))[:, None], sub] = (-1.0) ** np.arange(i + 2)
+        return LinOp(i, i + 1, mat)
+
+    return _cached_op(X, ("coboundary", i), build)
 
 
 def minimal_representative(X, f: OrientedCochain) -> OrientedCochain:

@@ -30,18 +30,18 @@ from .cochain_ops import (
     Cochain,
     _same_space,
     multi_down,
-    multi_up,
     nonlazy,
     up_down,
     weight_vector,
 )
-from .level_decomp import level_space, proper_level_basis
+from .level_decomp import proper_level_basis
 from .spectral import (
     GammaProfile,
     HypothesisError,
     gamma_profile,
     lambda2_skeleton,
     link_lambda2,
+    selfadjoint_spectrum,
 )
 
 __all__ = [
@@ -286,11 +286,11 @@ def bootstrap_certificate(X, k) -> BootstrapCertificate:
     is dominated by the global coefficient.  Condition 1: on the 0-level
     subspace, ``lam(1,k) |g|^2 + (1 - lam(1,k)) E_v |const-part of g in the
     link of v|^2 <= lam(0,k) |g|^2``; the expectation collapses to
-    ``|d*_0 ... d*_{k-1} g|^2``, so the condition is one top-eigenvalue
-    computation of a weighted-self-adjoint form restricted to that
-    subspace.  The vertex links' tables are read off the per-face link
-    spectra of ``X`` (:func:`hdxwalk.spectral.link_lambda2`); no link
-    complex is built.
+    ``|d*_0 ... d*_{k-1} g|^2``, whose worst ratio to ``|g|^2`` is
+    lambda_2 of the k-fold vertex up-down walk ``up_down(X, 0, k)``, so
+    the condition is one eigenvalue of an ``n_0 x n_0`` walk.  The vertex
+    links' tables are read off the per-face link spectra of ``X``
+    (:func:`hdxwalk.spectral.link_lambda2`); no link complex is built.
     """
     if not 1 <= k <= X.top_dim - 1:
         raise ComplexError(f"bootstrap_certificate needs 1 <= k < {X.top_dim}")
@@ -310,20 +310,13 @@ def bootstrap_certificate(X, k) -> BootstrapCertificate:
         worst_link = max(t.value(i - 1, r) for t in link_tables.values())
         worst_second = min(worst_second, table.value(i, k) - worst_link)
 
+    # U = multi_up(X, 0, k) has W-adjoint D = multi_down(X, 0, k), so the
+    # worst <g, U D g> / |g|^2 over 0-level g is the top eigenvalue of D U
+    # off the constants, which hold its top eigenvalue 1
     lam0 = table.value(0, k)
     lam1 = table.value(1, k)
-    D = multi_down(X, 0, k).matrix
-    U = multi_up(X, 0, k).matrix
-    n = X.n_faces(k)
-    A = lam1 * np.eye(n) + (1.0 - lam1) * (U @ D) - lam0 * np.eye(n)
-    B = level_space(X, k, 0).vectors
-    w = weight_vector(X, k)
-    R = B.T @ (w[:, None] * (A @ B))
-    R = (R + R.T) / 2.0
-    if R.shape[0] == 0:
-        worst_first = np.inf
-    else:
-        worst_first = -float(np.linalg.eigvalsh(R)[-1])
+    mu = selfadjoint_spectrum(X, up_down(X, 0, k)).second
+    worst_first = -((lam1 - lam0) + (1.0 - lam1) * mu)
     return BootstrapCertificate(k, table, link_tables, float(worst_first), float(worst_second))
 
 

@@ -6,6 +6,9 @@ pipelines, so agreement between the two routes is meaningful.  The
 routes at the end that the package computes by one matrix product (link
 spectra, walk compatibility, local minimality, balance) instead build
 each link with ``link_of`` and evaluate inside it.
+``bootstrap_condition1_dense`` is bootstrap condition 1 as the top
+eigenvalue of a dense form on the 0-level k-cochains, where the package
+takes one eigenvalue of the vertex up-down walk.
 ``weighted_pure_complexes`` is the hypothesis strategy the property tests
 draw their complexes from.
 """
@@ -109,14 +112,13 @@ def validate_scan(X, tol=WEIGHT_TOL):
             raise ComplexError(f"weights of dimension {k} sum to {total!r}, not 1")
     if abs(sum(X.weight[f] for f in top) - 1.0) > tol:
         raise ComplexError("facet weights do not sum to 1")
-    if X.from_facets:
-        for k in range(-1, d):
-            denom = math.comb(d + 1, k + 1)
-            for face in X.faces_by_dim[k]:
-                fset = set(face)
-                expect = sum(X.weight[F] for F in top if fset <= set(F)) / denom
-                if abs(expect - X.weight[face]) > tol:
-                    raise ComplexError(f"weight recursion violated at {face}")
+    for k in range(-1, d):
+        denom = math.comb(d + 1, k + 1)
+        for face in X.faces_by_dim[k]:
+            fset = set(face)
+            expect = sum(X.weight[F] for F in top if fset <= set(F)) / denom
+            if abs(expect - X.weight[face]) > tol:
+                raise ComplexError(f"weight recursion violated at {face}")
     return True
 
 
@@ -281,7 +283,7 @@ def trickling_residual_scan(X, samples, seed):
         Mf = M @ f.values
         for pos, v in enumerate(X.faces(0)):
             link = link_of(X, v)
-            fv = view(RESTRICTION, X, f, v, link=link)
+            fv = view(RESTRICTION, X, f, v)
             local_mean = float(weight_vector(link, 0) @ fv.values)
             residual = max(residual, abs(local_mean - Mf[pos]))
     return residual
@@ -316,7 +318,7 @@ def respects_walk_residual(viewer, X, k, f):
     rhs = 0.0
     for v in X.faces(0):
         link = link_of(X, v)
-        fv = view(viewer, X, f, v, link=link)
+        fv = view(viewer, X, f, v)
         rhs += X.weight[v] * inner_product(link, nonlazy(link, r)(fv), fv)
     return abs(lhs - rhs)
 
@@ -371,7 +373,31 @@ def balance_scan(X, S, i):
             mean = inner_product(X, centered, Cochain.ones(X, k))
         else:
             link = link_of(X, sigma)
-            loc = localize(X, centered, sigma, link=link)
+            loc = localize(X, centered, sigma)
             mean = inner_product(link, loc, Cochain.ones(link, loc.dim))
         companion = max(companion, abs(mean))
     return per_face, companion
+
+
+def bootstrap_condition1_dense(X, k):
+    """Condition 1 of ``bootstrap_certificate`` on the k-faces: minus the
+    top eigenvalue of ``lam1 I + (1 - lam1) U D - lam0 I`` (``U``, ``D``
+    the k-fold lift and drop) restricted to the 0-level space
+    ``level_space(X, k, 0)``, a dense ``n_k x n_k`` form."""
+    from hdxwalk.cochain_ops import multi_down, multi_up, weight_vector
+    from hdxwalk.level_decomp import level_space
+    from hdxwalk.spectral import gamma_profile
+    from hdxwalk.theorem_verify import lambda_table
+
+    table = lambda_table(gamma_profile(X), X.top_dim - 1)
+    lam0 = table.value(0, k)
+    lam1 = table.value(1, k)
+    D = multi_down(X, 0, k).matrix
+    U = multi_up(X, 0, k).matrix
+    n = X.n_faces(k)
+    A = lam1 * np.eye(n) + (1.0 - lam1) * (U @ D) - lam0 * np.eye(n)
+    B = level_space(X, k, 0).vectors
+    w = weight_vector(X, k)
+    R = B.T @ (w[:, None] * (A @ B))
+    R = (R + R.T) / 2.0
+    return -float(np.linalg.eigvalsh(R)[-1])

@@ -141,8 +141,8 @@ def test_adjoint_localizes(all_fixtures):
             for i in range(0, k):
                 for tau in X.faces(i):
                     link = link_of(X, tau)
-                    left = adjoint_diff(link, k - i - 1)(localize(X, f, tau, link=link))
-                    right = localize(X, dsf, tau, link=link)
+                    left = adjoint_diff(link, k - i - 1)(localize(X, f, tau))
+                    right = localize(X, dsf, tau)
                     assert np.allclose(left.values, right.values, atol=TOL)
 
 

@@ -3,6 +3,7 @@ import re
 from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import oracle
 from hdxwalk import (
@@ -95,6 +96,11 @@ def _drop_edge(faces_by_dim, weight):
     del weight[(1, 3)]
 
 
+def _drop_vertex(faces_by_dim, weight):
+    faces_by_dim[0].remove((3,))
+    del weight[(3,)]
+
+
 def _perturb_edges(faces_by_dim, weight):
     weight[(0, 1)] += 1e-6
     weight[(0, 2)] -= 1e-6
@@ -119,6 +125,7 @@ def _double_vertex(faces_by_dim, weight):
 BROKEN = [
     (_drop_facet, "purity violated at (3,)"),
     (_drop_edge, "closure violated: (1, 3) missing under (1, 2, 3)"),
+    (_drop_vertex, "closure violated: (3,) missing under (1, 3)"),
     (_perturb_edges, "weight recursion violated at (0, 1)"),
     (_unsort_edges, "faces of dimension 1 are not sorted"),
     (_misfile_triangle, "face (2, 3, 4) filed under dimension 1"),
@@ -258,7 +265,28 @@ def test_skeleton_copies_weights(c42):
         assert S.weight[e] == c42.weight[e]
     for v in S.faces(0):
         assert S.weight[v] == c42.weight[v]
-    S.validate()  # per-dimension sums still 1; recursion not re-checked
+    S.validate()  # the recursion holds from the skeleton's own top faces
+
+
+def test_skeleton_recursion_checked(c42):
+    # edge weights moved by +-1e-6 keep every per-dimension sum, but pushed
+    # down from the skeleton's top faces they miss the vertex weights
+    weight = dict(c42.weight)
+    weight[(0, 1)] += 1e-6
+    weight[(0, 2)] -= 1e-6
+    X = PureComplex(c42.top_dim, c42.faces_by_dim, weight)
+    with pytest.raises(ComplexError, match=re.escape("weight recursion violated at (1,)")):
+        skeleton_of(X, 1).validate()
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(X=oracle.weighted_pure_complexes())
+def test_validate_accepts_random_complexes_links_and_skeletons(X):
+    derived = [X] + [link_of(X, v) for v in X.faces(0)]
+    derived += [skeleton_of(X, i) for i in range(X.top_dim)]
+    for Y in derived:
+        assert Y.validate()
+        assert oracle.validate_scan(Y)
 
 
 def test_skeleton_identity_and_zero(t3):

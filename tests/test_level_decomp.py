@@ -51,14 +51,13 @@ def test_viewer_axioms(all_fixtures):
                 g = _random_cochain(X, k, rng)
                 # unit preservation and linearity, viewed at every vertex
                 for v in X.faces(0):
-                    link = link_of(X, v)
-                    ones = view(viewer, X, Cochain.ones(X, k), v, link=link)
+                    ones = view(viewer, X, Cochain.ones(X, k), v)
                     assert np.allclose(ones.values, 1.0, atol=VIEW_TOL)
                     comb = Cochain(X, k, f.values + 2.5 * g.values)
-                    lhs = view(viewer, X, comb, v, link=link)
+                    lhs = view(viewer, X, comb, v)
                     rhs = (
-                        view(viewer, X, f, v, link=link).values
-                        + 2.5 * view(viewer, X, g, v, link=link).values
+                        view(viewer, X, f, v).values
+                        + 2.5 * view(viewer, X, g, v).values
                     )
                     assert np.allclose(lhs.values, rhs, atol=VIEW_TOL)
                     # constant dimension difference
@@ -70,8 +69,8 @@ def test_viewer_axioms(all_fixtures):
                         link = link_of(X, sigma)
                         acc += X.weight[sigma] * inner_product(
                             link,
-                            view(viewer, X, f, sigma, link=link),
-                            view(viewer, X, g, sigma, link=link),
+                            view(viewer, X, f, sigma),
+                            view(viewer, X, g, sigma),
                         )
                     assert abs(acc - inner_product(X, f, g)) <= VIEW_TOL
 
@@ -89,7 +88,7 @@ def test_viewer_composition(all_fixtures):
                 for tau in [(sigma[0],), (sigma[1],)]:
                     rest = tuple(v for v in sigma if v not in tau)
                     link1 = link_of(X, tau)
-                    step1 = view(viewer, X, f, tau, link=link1)
+                    step1 = view(viewer, X, f, tau)
                     step2 = view(viewer, link1, step1, rest)
                     assert np.allclose(step2.values, direct.values, atol=VIEW_TOL)
 
@@ -262,7 +261,7 @@ def test_localization_shifts_levels(all_fixtures):
                 link = link_of(X, v)
                 C = oracle.level_constraint_matrix(link, k - 1, i - 1)
                 for c in range(B.shape[1]):
-                    fv = view(LOCALIZATION, X, Cochain(X, k, B[:, c]), v, link=link)
+                    fv = view(LOCALIZATION, X, Cochain(X, k, B[:, c]), v)
                     assert np.max(np.abs(C @ fv.values)) <= LEVEL_TOL
 
 

@@ -238,6 +238,32 @@ def test_bootstrap_all_fixtures(all_fixtures):
             assert cert.worst_slack_second >= -SLACK_TOL
 
 
+def test_bootstrap_condition1_matches_dense_form(all_fixtures, skewed83):
+    # lambda_2 of the k-fold vertex up-down walk against the top eigenvalue
+    # of the n_k x n_k form on the 0-level k-cochains
+    for _, X in all_fixtures + [("skewed_complete83", skewed83)]:
+        for k in range(1, X.top_dim):
+            got = bootstrap_certificate(X, k).worst_slack_first
+            assert abs(got - oracle.bootstrap_condition1_dense(X, k)) <= 1e-12
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(X=oracle.weighted_pure_complexes())
+def test_bootstrap_condition1_property(X):
+    assume(X.top_dim >= 2)
+    try:
+        gamma_profile(X)
+    except HypothesisError:
+        assume(False)  # the certificate needs connected links
+    for k in range(1, X.top_dim):
+        got = bootstrap_certificate(X, k).worst_slack_first
+        assert abs(got - oracle.bootstrap_condition1_dense(X, k)) <= 1e-12
+
+
 def test_bootstrap_matches_fine_grained_coefficients(all_fixtures):
     # the certificate's closed-form table is the same object the fine-grained
     # bound charges per level
@@ -261,7 +287,7 @@ def test_bootstrap_expectation_identity(all_fixtures):
             lhs = 0.0
             for v in X.faces(0):
                 link = link_of(X, v)
-                fv = view(LOCALIZATION, X, f, v, link=link)
+                fv = view(LOCALIZATION, X, f, v)
                 const = constant_projection(link, k - 1)(fv)
                 lhs += X.weight[v] * norm_sq(link, const)
             rhs = norm_sq(X, multi_down(X, 0, k)(f))
