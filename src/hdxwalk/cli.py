@@ -21,7 +21,7 @@ from .cli_io import (
     write_cochain,
     write_complex,
 )
-from .cochain_ops import Cochain, inner_product, norm_sq
+from .cochain_ops import Cochain, inner_product, norm_sq, weight_vector
 from .complex_core import ComplexError
 from .level_decomp import proper_decompose, proper_level_basis
 from .oriented_topology import (
@@ -106,8 +106,7 @@ def cmd_analyze(args):
         "dim": X.top_dim,
         "face_counts": [X.n_faces(k) for k in range(X.top_dim + 1)],
         "weight_sums": [
-            float(sum(X.weight[f] for f in X.faces(k)))
-            for k in range(X.top_dim + 1)
+            float(sum(weight_vector(X, k).tolist())) for k in range(X.top_dim + 1)
         ],
         "gamma_profile": {str(j): profile[j] for j in profile.dims()},
         "lambda2": lambda2_skeleton(X),

@@ -8,18 +8,34 @@ unlisted faces defaulting to zero.  Weights and values must be finite;
 weights must also be normal positive floats, at least
 ``sys.float_info.min``.
 Both formats round-trip bit-faithfully through ``repr`` floats.
+
+A file is read on one token route: the text is split into its fields once,
+vertex ids go through ``int`` and weights or values through ``float`` (so
+they accept what ``int`` and ``float`` accept), and every rule above is
+checked on the resulting arrays.  A complex's facets go to
+``complex_core._closure`` as one int array; a cochain's faces are found by
+the complex's integer face keys.  Only when a check fails is the file read
+again line by line, to raise the ParseError that names the first bad line.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from itertools import combinations, product
 
 import numpy as np
 
-from .complex_core import ComplexError, _closure, build_complex, canonical_face
-from .cochain_ops import Cochain
-from .spectral import _link_graph
+from .complex_core import (
+    ComplexError,
+    _canonical_rows,
+    _closure,
+    _positions,
+    build_complex,
+    canonical_face,
+)
+from .cochain_ops import Cochain, weight_vector
+from .spectral import HypothesisError, _link_graph
 
 __all__ = [
     "ParseError",
@@ -33,6 +49,10 @@ __all__ = [
 
 class ParseError(ValueError):
     """Malformed complex or cochain file (message carries the line number)."""
+
+
+# a comment runs to the end of its line, as ``str.splitlines`` ends lines
+_COMMENT = re.compile(r"#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
 def _data_lines(text):
@@ -56,14 +76,76 @@ def _parse_header(lines, what):
         raise ParseError(f"line {lineno}: bad dimension {parts[1]!r}") from None
 
 
+def _fields(text):
+    """The data of a complex or cochain file on the token route: its header
+    dimension, the number of data lines, their common field count (None
+    when there are none) and all their fields in one list.  Comments go by
+    one substitution, blank lines by their field count of 0.  None when the
+    header is not ``dim <int>`` or the data lines differ in field count."""
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    counts = np.array(list(map(len, map(str.split, text.splitlines()))), dtype=np.intp)
+    counts = counts[counts > 0]
+    tokens = text.split()
+    if not len(counts) or counts[0] != 2 or tokens[0] != "dim":
+        return None
+    if (counts[1:] != counts[1:2]).any():
+        return None
+    try:
+        dim = int(tokens[1])
+    except ValueError:
+        return None
+    del tokens[:2]
+    return dim, len(counts) - 1, (counts[1] if len(counts) > 1 else None), tokens
+
+
+def _facet_table(text):
+    """``(facets, weights)`` for ``_closure`` from a complex file on the
+    token route, or None when a line breaks a rule of the format."""
+    table = _fields(text)
+    if table is None:
+        return None
+    d, n, width, tokens = table
+    if d < 0 or width not in (d + 1, d + 2):
+        return None
+    weights = None
+    try:
+        if width == d + 2:
+            weights = list(map(float, tokens[d + 1 :: width]))
+            del tokens[d + 1 :: width]
+        ids = list(map(int, tokens))
+    except ValueError:
+        return None
+    facets = _canonical_rows(ids, n, d + 1)
+    if facets is None:
+        return None
+    if weights is not None:
+        w = np.array(weights)
+        if not (np.isfinite(w) & (w >= sys.float_info.min)).all():
+            return None
+    return facets, weights
+
+
 def parse_complex(text):
     """Build a complex from its facet file; see the module docstring."""
+    table = _facet_table(text)
+    if table is not None:
+        try:
+            return _closure(*table)
+        except ComplexError as exc:
+            _check_complex_lines(text)  # a duplicate facet is named by its line
+            raise ParseError(str(exc)) from None
+    _check_complex_lines(text)
+    raise AssertionError("the line loop accepted a file the token route rejected")
+
+
+def _check_complex_lines(text):
+    """Read a complex file line by line, only to raise the ParseError that
+    names its first bad line; returns when every line is well formed."""
     lines = _data_lines(text)
     d = _parse_header(lines, "complex")
     if d < 0:
         raise ParseError("dimension must be non-negative")
-    facets = []
-    weights = []
     seen = set()
     mode = None  # "weighted" | "plain"
     for lineno, line in lines:
@@ -99,38 +181,71 @@ def parse_complex(text):
         if face in seen:
             raise ParseError(f"line {lineno}: duplicate facet {face}")
         seen.add(face)
-        facets.append(face)
         if wt is not None:
             if wt <= 0:
                 raise ParseError(f"line {lineno}: non-positive weight {wt!r}")
             if wt < sys.float_info.min:
                 raise ParseError(f"line {lineno}: subnormal weight {wt!r}")
-            weights.append(wt)
-    if not facets:
+    if not seen:
         raise ParseError("no facets in file")
-    try:
-        # every facet is canonical, distinct and of dimension d, and every
-        # weight finite and positive: skip build_complex's second pass
-        return _closure(facets, weights if mode == "weighted" else None)
-    except ComplexError as exc:
-        raise ParseError(str(exc)) from None
+
+
+def _format(dim, faces, values):
+    """A complex or cochain file: the header, then each face's vertex ids
+    and the ``repr`` of its value."""
+    line = " ".join(["{}"] * (dim + 1)) + " {!r}"
+    return "\n".join([f"dim {dim}", *map(line.format, *zip(*faces), values)]) + "\n"
 
 
 def write_complex(X):
-    lines = [f"dim {X.top_dim}"]
-    for face in X.facets:
-        body = " ".join(str(v) for v in face)
-        lines.append(f"{body} {X.weight[face]!r}")
-    return "\n".join(lines) + "\n"
+    return _format(X.top_dim, X.facets, weight_vector(X, X.top_dim).tolist())
+
+
+def _cochain_values(text, X):
+    """The values of a cochain file over ``X`` on the token route, or None
+    when a line breaks a rule of the format."""
+    table = _fields(text)
+    if table is None:
+        return None
+    k, n, width, tokens = table
+    if not -1 <= k <= X.top_dim or width not in (None, k + 2):
+        return None
+    try:
+        values = np.array(list(map(float, tokens[k + 1 :: k + 2])), dtype=float)
+        del tokens[k + 1 :: k + 2]
+        ids = list(map(int, tokens))
+    except ValueError:
+        return None
+    faces = _canonical_rows(ids, n, k + 1)
+    if faces is None or not np.isfinite(values).all():
+        return None
+    try:
+        pos = _positions(X, faces)
+    except KeyError:
+        return None
+    if (np.bincount(pos, minlength=1) > 1).any():
+        return None
+    vals = np.zeros(X.n_faces(k))
+    vals[pos] = values
+    return Cochain(X, k, vals)
 
 
 def parse_cochain(text, X):
     """Read a cochain over ``X`` (faces not listed get value 0)."""
+    f = _cochain_values(text, X)
+    if f is not None:
+        return f
+    _check_cochain_lines(text, X)
+    raise AssertionError("the line loop accepted a file the token route rejected")
+
+
+def _check_cochain_lines(text, X):
+    """Read a cochain file line by line, only to raise the ParseError that
+    names its first bad line; returns when every line is well formed."""
     lines = _data_lines(text)
     k = _parse_header(lines, "cochain")
     if not -1 <= k <= X.top_dim:
         raise ParseError(f"cochain dimension {k} out of range for the complex")
-    vals = np.zeros(X.n_faces(k))
     seen = set()
     for lineno, line in lines:
         parts = line.split()
@@ -153,16 +268,10 @@ def parse_cochain(text, X):
         if pos in seen:
             raise ParseError(f"line {lineno}: duplicate face {face}")
         seen.add(pos)
-        vals[pos] = value
-    return Cochain(X, k, vals)
 
 
 def write_cochain(X, f):
-    lines = [f"dim {f.dim}"]
-    for face, value in zip(X.faces(f.dim), f.values):
-        body = " ".join(str(v) for v in face)
-        lines.append(f"{body} {float(value)!r}")
-    return "\n".join(lines) + "\n"
+    return _format(f.dim, X.faces(f.dim), f.values.tolist())
 
 
 def _all_links_connected(X):
@@ -212,7 +321,7 @@ def generate(kind, **params):
             X = build_complex([pool[i] for i in sorted(idx)])
             if _all_links_connected(X):
                 return X
-        raise ComplexError(
+        raise HypothesisError(
             f"random_pure({n},{d},{m},seed={seed}): no connected-link sample "
             f"within {retries} retries"
         )

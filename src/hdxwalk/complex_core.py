@@ -11,24 +11,34 @@ Instances are immutable after construction.  Derived data (links,
 operator matrices, spectra, level bases) is memoized on the instance
 through :func:`_cached_op`, without a lock.
 
-Incidence is read from one structure, the star index: for each vertex
-and dimension, the positions of the faces containing that vertex (the top
-row is the facet star).  It is built once per complex and kept under the
-cache key ``("star",)``.  Every "faces over sigma" query (links, cofaces)
-intersects the stars of sigma's vertices instead of scanning all faces.
-Downward incidence is one int array per dimension, ``_sub(X, k)``, the
-positions of each k-face's (k-1)-subfaces (cache key ``("sub", k)``);
-operator matrices and link spectra are scattered from it.
+The tuple lists and the ``weight`` and ``face_index`` dicts are the public
+view; the numerics read int arrays.  A face is found by its integer key,
+(position of the face minus its last vertex among the faces one dimension
+down) * n_0 + (rank of its last vertex), which ascends with the canonical
+order and stays below n_(k-1) * n_0, whatever the vertex ids (cache key
+``("keys", k)``).  :func:`_closure` closes an (m, d+1) facet
+array level by level with these keys and takes the weights from one
+``bincount`` per level.  Downward incidence is one int array per
+dimension, ``_sub(X, k)``, the positions of each k-face's (k-1)-subfaces
+(cache key ``("sub", k)``); the closure leaves it cached, and any other
+complex (a link, a skeleton, one built from tuple lists) gets it by key
+lookup.  Operator matrices and link spectra are scattered from it.
 :meth:`PureComplex.validate` checks closure by building ``_sub`` and the
 weight recursion by pushing the facet weights down it, one dimension at a
 time.
+
+Links and coface sums still read the star index: for each vertex and
+dimension, the positions of the faces containing that vertex (the top row
+is the facet star), built once per complex under the cache key
+``("star",)``.  Every "faces over sigma" query intersects the stars of
+sigma's vertices instead of scanning all faces.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -74,8 +84,7 @@ class PureComplex:
         self.weight = weight
         self.face_index = {}
         for k in range(-1, top_dim + 1):
-            for pos, face in enumerate(faces_by_dim[k]):
-                self.face_index[face] = pos
+            self.face_index.update(zip(faces_by_dim[k], range(len(faces_by_dim[k]))))
         self._cache = {}
 
     def faces(self, k):
@@ -112,20 +121,28 @@ class PureComplex:
         recursion.  Raises ComplexError on the first violated invariant.
         """
         d = self.top_dim
+        stored = {}
         for k in range(-1, d + 1):
             lst = self.faces_by_dim[k]
             if sorted(lst) != list(lst):
                 raise ComplexError(f"faces of dimension {k} are not sorted")
-            for face in lst:
-                if len(face) != k + 1:
-                    raise ComplexError(f"face {face} filed under dimension {k}")
-                if any(a >= b for a, b in zip(face, face[1:])):
-                    raise ComplexError(f"face {face} is not strictly ascending")
-                w = self.weight[face]
-                if w <= 0:
-                    raise ComplexError(f"non-positive weight on {face}")
-                if not math.isfinite(w):
-                    raise ComplexError(f"non-finite weight on {face}")
+            misfiled = np.fromiter(map(len, lst), np.intp, len(lst)) != k + 1
+            if misfiled.any():
+                raise ComplexError(f"face {lst[np.argmax(misfiled)]} filed under dimension {k}")
+            rows = _id_array(lst, len(lst), k + 1)
+            w = stored[k] = np.fromiter(map(self.weight.__getitem__, lst), float, len(lst))
+            # per face, the first of these checks it fails is reported
+            faults = np.stack([(rows[:, 1:] <= rows[:, :-1]).any(axis=1), w <= 0, ~np.isfinite(w)])
+            if faults.any():
+                pos = np.argmax(faults.any(axis=0))
+                face = lst[pos]
+                raise ComplexError(
+                    (
+                        f"face {face} is not strictly ascending",
+                        f"non-positive weight on {face}",
+                        f"non-finite weight on {face}",
+                    )[np.argmax(faults[:, pos])]
+                )
         for k in range(d + 1):
             try:
                 _sub(self, k)
@@ -139,10 +156,6 @@ class PureComplex:
                 raise ComplexError(f"closure violated: {sub} missing under {face}") from None
         if abs(self.weight[()] - 1.0) > tol:
             raise ComplexError("weight of the empty face is not 1")
-        stored = {
-            k: np.array([self.weight[f] for f in self.faces_by_dim[k]])
-            for k in range(-1, d + 1)
-        }
         pushed = {d: stored[d]}
         for k in range(d - 1, -2, -1):
             mass = np.repeat(pushed[k + 1], k + 2)
@@ -151,10 +164,10 @@ class PureComplex:
             lst = self.faces_by_dim[k]
             if not pushed[k].all():
                 raise ComplexError(f"purity violated at {lst[np.argmin(pushed[k])]}")
-            total = sum(self.weight[f] for f in lst)
+            total = sum(stored[k].tolist())
             if abs(total - 1.0) > tol:
                 raise ComplexError(f"weights of dimension {k} sum to {total!r}, not 1")
-        if abs(sum(self.weight[f] for f in self.facets) - 1.0) > tol:
+        if abs(sum(stored[d].tolist()) - 1.0) > tol:
             raise ComplexError("facet weights do not sum to 1")
         for k in range(-1, d):
             off = np.abs(pushed[k] - stored[k]) > tol
@@ -189,6 +202,24 @@ def build_complex(facets, facet_weights=None):
     """
     if not facets:
         raise ComplexError("facet list is empty")
+    widths = set(map(len, facets))
+    rows = None
+    if len(widths) == 1:
+        ids = list(map(int, chain.from_iterable(facets)))
+        rows = _canonical_rows(ids, len(facets), widths.pop())
+    weights_ok = facet_weights is None
+    if not weights_ok and len(facet_weights) == len(facets):
+        w = np.fromiter(map(float, facet_weights), float, len(facets))
+        weights_ok = bool(((w > 0) & (w < math.inf)).all())
+    if rows is None or not weights_ok:
+        _check_facets(facets, facet_weights)
+        raise AssertionError("the facet loop accepted what the array checks rejected")
+    return _closure(rows, facet_weights)
+
+
+def _check_facets(facets, facet_weights):
+    """:func:`build_complex`'s checks one facet at a time, run only after the
+    array checks found a fault: raises ComplexError naming the first one."""
     canon = [canonical_face(f) for f in facets]
     d = len(canon[0]) - 1
     if any(len(f) != d + 1 for f in canon):
@@ -200,39 +231,103 @@ def build_complex(facets, facet_weights=None):
             raise ComplexError("facet_weights length does not match facets")
         if not all(0 < w < math.inf for w in facet_weights):
             raise ComplexError("facet weights must be finite and positive")
-    return _closure(canon, facet_weights)
+
+
+def _id_array(ids, n, width):
+    """The vertex ids ``ids`` (flat, or ``n`` sequences of ``width``) as an
+    (n, width) array: int64, or object when an id needs more than 64 bits."""
+    try:
+        array = np.array(ids, dtype=np.int64)
+    except OverflowError:
+        array = np.array(ids, dtype=object)
+    return array.reshape(n, width)
+
+
+def _canonical_rows(ids, n, width):
+    """``n`` faces of ``width`` vertex ids each (see :func:`_id_array`) as
+    an (n, width) array with every row ascending, or None when a face
+    repeats a vertex or has a negative one."""
+    rows = np.sort(_id_array(ids, n, width), axis=1, kind="stable")
+    if width and ((rows[:, 0] < 0).any() or (rows[:, 1:] == rows[:, :-1]).any()):
+        return None
+    return rows
+
+
+def _distinct(values):
+    """The distinct entries of the 1-D array ``values`` in ascending order,
+    and the position in ``values`` of the first occurrence of each."""
+    order = values.argsort(kind="stable")
+    ordered = values[order]
+    first = np.ones(len(values), bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first], order[first]
 
 
 def _closure(facets, facet_weights):
-    """:func:`build_complex` on input it has checked already: a non-empty
-    list of distinct canonical facets of one dimension and, if given, as
-    many finite positive weights.  ``parse_complex`` checks the same line by
-    line and calls this directly."""
-    d = len(facets[0]) - 1
+    """The complex of the (m, d+1) array ``facets``, each row ascending and
+    non-negative, with ``facet_weights`` None or m finite positive weights;
+    :func:`build_complex` and ``parse_complex`` check both first.  Raises
+    ComplexError on a duplicate facet or a weight that is not a normal float.
+
+    The vertices are ranked, and level by level every facet's k-subsets,
+    facet-major, are keyed by (position of the subset minus its last vertex
+    among the (k-1)-faces) * n_0 + (rank of its last vertex).  Keys ascend
+    with the faces' lexicographic order and stay below n_(k-1) * n_0, so
+    the distinct keys are the k-faces in canonical order, and looking each
+    subset's key up among them gives its face.  The weights of a level are
+    one ``bincount`` over those faces: the facet weights over each face
+    added in facet order from 0.0, as a dict closure adds them.  The
+    subface arrays (:func:`_sub`), face keys, vertex ids and
+    weight vectors fall out of the same pass and are cached on the result.
+    """
+    m, width = facets.shape
+    d = width - 1
     if facet_weights is None:
-        top_weights = [1.0 / len(facets)] * len(facets)
+        top = np.full(m, 1.0 / m)
     else:
         total = float(sum(facet_weights))
-        top_weights = [float(w) / total for w in facet_weights]
+        top = np.fromiter(map(float, facet_weights), float, m) / total
+    ids = _distinct(facets.ravel())[0]
+    ranks = np.searchsorted(ids, facets)
+    n0 = len(ids)
+    labels = ids.tolist()  # one int object per vertex, shared by the face tuples
 
-    faces_by_dim = {}
-    weight = {}
-    for k in range(-1, d + 1):
-        # every k-subface of the facets, with the summed weight of the
-        # facets over it added in facet order
-        over = {}
-        for F, wF in zip(facets, top_weights):
-            for sub in combinations(F, k + 1):
-                over[sub] = over.get(sub, 0.0) + wF
-        denom = math.comb(d + 1, k + 1)
-        faces_by_dim[k] = sorted(over)
-        for face in faces_by_dim[k]:
-            weight[face] = over[face] / denom
-    if min(weight.values()) < sys.float_info.min:
+    combos = [()]  # the column subsets of the previous level, in order
+    inv = np.zeros((m, 1), np.intp)  # face of every facet's previous-level subset
+    faces_by_dim = {-1: [()]}
+    weights = {-1: np.bincount(inv.ravel(), top, 1)}
+    cached = {("vertex_ids",): ids, ("keys", -1): np.zeros(1, np.intp)}
+    for k in range(d + 1):
+        index = {c: i for i, c in enumerate(combos)}
+        combos = list(combinations(range(width), k + 1))
+        cols = np.array(combos)
+        # drop[c, i]: the previous-level subset that is combo c minus its i-th column
+        drop = np.array([[index[c[:i] + c[i + 1 :]] for i in range(k + 1)] for c in combos])
+        key = (inv[:, drop[:, k]] * n0 + ranks[:, cols[:, k]]).ravel()
+        keys, rep = _distinct(key)
+        subset_face = np.searchsorted(keys, key)
+        f, c = np.divmod(rep, len(combos))
+        rows = ranks[f[:, None], cols[c]]
+        cached[("keys", k)] = keys
+        cached[("sub", k)] = inv[f[:, None], drop[c]]
+        over = np.bincount(subset_face, np.repeat(top, len(combos)), len(keys))
+        weights[k] = over / math.comb(width, k + 1)
+        faces_by_dim[k] = list(zip(*(map(labels.__getitem__, col) for col in rows.T.tolist())))
+        inv = subset_face.reshape(m, len(combos))
+    if len(faces_by_dim[d]) < m:
+        raise ComplexError("duplicate facet")
+    if min(w.min() for w in weights.values()) < sys.float_info.min:
         # the facet weights overflowed when summed, or span so many decades
         # that a normalized weight underflowed
         raise ComplexError("facet weights out of range: a weight is not a normal float")
-    return PureComplex(d, faces_by_dim, weight)
+    weight = {}
+    for k, w in weights.items():
+        weight.update(zip(faces_by_dim[k], w.tolist()))
+        cached[("weights", k)] = w
+    X = PureComplex(d, faces_by_dim, weight)
+    for key, value in cached.items():
+        _cached_op(X, key, lambda: value)
+    return X
 
 
 def _cached_op(X, key, builder):
@@ -260,21 +355,75 @@ def _star(X):
     return _cached_op(X, ("star",), build)
 
 
+def _locate(table, values):
+    """Positions of ``values`` in the ascending array ``table``; KeyError
+    when one is absent."""
+    pos = np.searchsorted(table, values)
+    if values.size and not (len(table) and (table.take(pos, mode="clip") == values).all()):
+        raise KeyError("not a face")
+    return pos
+
+
+def _vertex_ids(X):
+    """The vertex ids of ``X`` in canonical order as an int array; a vertex's
+    rank is its position here.  Cached under ``("vertex_ids",)``."""
+    return _cached_op(
+        X, ("vertex_ids",), lambda: _id_array(X.faces_by_dim[0], X.n_faces(0), 1).ravel()
+    )
+
+
+def _rows(X, k):
+    """``X.faces(k)`` as an (n_k, k+1) array of vertex ranks; KeyError when
+    a face has a vertex that is not a 0-face.  Cached under ``("rows", k)``."""
+
+    def build():
+        ids = _id_array(X.faces_by_dim[k], X.n_faces(k), k + 1)
+        return _locate(_vertex_ids(X), ids)
+
+    return _cached_op(X, ("rows", k), build)
+
+
+def _keys(X, k):
+    """The integer keys of ``X.faces(k)``, ascending: (position of the face
+    minus its last vertex in ``X.faces(k-1)``) * n_0 + (rank of its last
+    vertex), and 0 for the empty face.  Cached under ``("keys", k)``."""
+
+    def build():
+        if k == -1:
+            return np.zeros(X.n_faces(-1), np.intp)
+        return _sub(X, k)[:, k] * X.n_faces(0) + _rows(X, k)[:, k]
+
+    return _cached_op(X, ("keys", k), build)
+
+
+def _find(X, rows):
+    """Positions in ``X.faces(j)`` of the faces given as an (N, j+1) array of
+    ascending vertex ranks, found through the keys of their prefixes;
+    KeyError when one is not a face."""
+    pos = _locate(_keys(X, -1), np.zeros(len(rows), np.intp))
+    for j in range(rows.shape[1]):
+        pos = _locate(_keys(X, j), pos * X.n_faces(0) + rows[:, j])
+    return pos
+
+
+def _positions(X, faces):
+    """Positions in ``X.faces(j)`` of the faces given as an (N, j+1) array of
+    ascending vertex ids; KeyError when one is not a face of ``X``."""
+    return _find(X, _locate(_vertex_ids(X), faces))
+
+
 def _sub(X, k):
     """The subface index array of dimension ``k`` (0 <= k <= top_dim): an
     int array of shape (n_k, k+1) whose column ``c`` holds the position in
-    ``X.faces(k-1)`` of each k-face minus its c-th vertex.  Built once per
-    complex under the cache key ``("sub", k)``; the operators of
+    ``X.faces(k-1)`` of each k-face minus its c-th vertex, found by key
+    (KeyError when one is missing).  Cached under ``("sub", k)``, where
+    :func:`_closure` leaves its own; the operators of
     :mod:`hdxwalk.cochain_ops` and the link spectra of
     :mod:`hdxwalk.spectral` are scattered from it."""
 
     def build():
-        index = X.face_index
-        faces_k = X.faces_by_dim[k]
-        sub = np.empty((len(faces_k), k + 1), dtype=np.intp)
-        for c in range(k + 1):
-            sub[:, c] = [index[f[:c] + f[c + 1 :]] for f in faces_k]
-        return sub
+        rows = _rows(X, k)
+        return np.stack([_find(X, np.delete(rows, c, axis=1)) for c in range(k + 1)], axis=1)
 
     return _cached_op(X, ("sub", k), build)
 

@@ -10,7 +10,9 @@ each link with ``link_of`` and evaluate inside it.
 eigenvalue of a dense form on the 0-level k-cochains, where the package
 takes one eigenvalue of the vertex up-down walk.
 ``weighted_pure_complexes`` is the hypothesis strategy the property tests
-draw their complexes from.
+draw their complexes from.  ``closure_scan`` and ``sub_scan`` are the dict
+closure and the dict subface lookup that the package's array closure and
+key lookup replaced.
 """
 
 import math
@@ -29,9 +31,10 @@ from hdxwalk.complex_core import (
 
 
 @st.composite
-def weighted_pure_complexes(draw):
-    """A random pure complex on at most 7 vertices: a subset of the facets
-    of complete(n, d), weights log-uniform over up to 12 decades."""
+def weighted_facets(draw):
+    """Facets and weights of a random pure complex on at most 7 vertices: a
+    subset of the facets of complete(n, d), weights log-uniform over up to
+    12 decades."""
     n = draw(st.integers(4, 7))
     d = draw(st.integers(1, min(3, n - 2)))
     pool = list(combinations(range(n), d + 1))
@@ -41,7 +44,64 @@ def weighted_pure_complexes(draw):
     spread = draw(st.floats(0.0, 12.0))
     seed = draw(st.integers(0, 2**32 - 1))
     exps = np.random.default_rng(seed).uniform(-spread, 0.0, len(facets))
-    return build_complex(facets, list(10.0**exps))
+    return facets, list(10.0**exps)
+
+
+def weighted_pure_complexes():
+    """The complexes of :func:`weighted_facets`."""
+    return weighted_facets().map(lambda drawn: build_complex(*drawn))
+
+
+@st.composite
+def relabeled_facets(draw):
+    """Facets of dimension up to 6 on vertex ids up to 10**12, each facet's
+    vertices and the facets themselves in a drawn order, with or without
+    weights: keys mixing raw ids in radix n_0 would overflow int64 here."""
+    n = draw(st.integers(1, 9))
+    d = draw(st.integers(0, min(6, n - 1)))
+    ids = draw(st.lists(st.integers(0, 10**12), min_size=n, max_size=n, unique=True))
+    pool = list(combinations(ids, d + 1))
+    keep = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+    keep[draw(st.integers(0, len(pool) - 1))] = True
+    facets = [draw(st.permutations(F)) for F, kept in zip(pool, keep) if kept]
+    facets = draw(st.permutations(facets))
+    if not draw(st.booleans()):
+        return facets, None
+    seed = draw(st.integers(0, 2**32 - 1))
+    exps = np.random.default_rng(seed).uniform(-6.0, 0.0, len(facets))
+    return facets, list(10.0**exps)
+
+
+def closure_scan(facets, facet_weights=None):
+    """The complex of distinct canonical ``facets`` by a dict over every
+    facet subset, each face's facet weights added in facet order: the second
+    route for the array closure of ``build_complex``, which must agree with
+    it bitwise."""
+    d = len(facets[0]) - 1
+    if facet_weights is None:
+        top = [1.0 / len(facets)] * len(facets)
+    else:
+        total = float(sum(facet_weights))
+        top = [float(w) / total for w in facet_weights]
+    faces_by_dim = {}
+    weight = {}
+    for k in range(-1, d + 1):
+        over = {}
+        for F, wF in zip(facets, top):
+            for sub in combinations(F, k + 1):
+                over[sub] = over.get(sub, 0.0) + wF
+        denom = math.comb(d + 1, k + 1)
+        faces_by_dim[k] = sorted(over)
+        for face in faces_by_dim[k]:
+            weight[face] = over[face] / denom
+    return PureComplex(d, faces_by_dim, weight)
+
+
+def sub_scan(X, k):
+    """The subface index array of dimension ``k`` by dict lookups in
+    ``X.face_index``: the second route for ``complex_core._sub``."""
+    rows = [[X.face_index[f[:c] + f[c + 1 :]] for c in range(k + 1)] for f in X.faces(k)]
+    return np.array(rows, dtype=np.intp).reshape(X.n_faces(k), k + 1)
 
 
 def weights_from_facets(facets, facet_weights):

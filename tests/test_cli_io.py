@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import oracle
 from hdxwalk import (
     Cochain,
     ComplexError,
+    HypothesisError,
     ParseError,
     advantage_check,
     alev_lau_check,
@@ -21,6 +23,7 @@ from hdxwalk import (
     write_cochain,
     write_complex,
 )
+from hdxwalk.complex_core import _sub
 from hdxwalk.level_decomp import proper_level_basis
 
 
@@ -86,6 +89,79 @@ def test_parse_complex_errors():
         parse_complex("")
 
 
+def _assert_bitwise(X, Y):
+    assert X.top_dim == Y.top_dim
+    for k in range(-1, X.top_dim + 1):
+        assert X.faces(k) == Y.faces(k)
+    assert X.weight == Y.weight
+
+
+def test_parse_complex_bitwise_parity(all_fixtures, skewed83):
+    # parsing a written complex gives bitwise what the dict closure gives
+    # for the facet weights the file holds
+    named = all_fixtures + [("skewed_complete83", skewed83)]
+    named += [("complete144", generate("complete", n=14, d=4))]
+    named += [("complete302", generate("complete", n=30, d=2))]
+    for _, X in named:
+        Y = parse_complex(write_complex(X))
+        _assert_bitwise(Y, oracle.closure_scan(X.facets, [X.weight[F] for F in X.facets]))
+        for k in range(Y.top_dim + 1):
+            assert np.array_equal(_sub(Y, k), oracle.sub_scan(Y, k))
+
+
+def test_parse_complex_layout_variants():
+    clean = "dim 2\n0 1 2 0.5\n1 2 3 0.25\n2 3 5 0.25\n"
+    messy = [
+        clean.replace("\n", "\r\n"),
+        clean.replace("\n", "\r"),
+        clean.replace(" ", "\t"),
+        "# header next\ndim 2\n\n2 0 1 0.5  # a facet\n\n   \n3 2 1 0.25\n5 3 2 0.25",
+        "dim 2\n+0 0001 2 0.5\n1 +2 0003 0.25\n2 3 0005 0.25\n",
+        "dim\t2\r\n 0  1  2  0.5 \r\n1\t2\t3 2.5e-1\n2 3 5 .25\n\n",
+    ]
+    X = parse_complex(clean)
+    for text in messy:
+        _assert_bitwise(parse_complex(text), X)
+    plain = parse_complex("dim 2\n0 1 2\n1 2 3\n")
+    _assert_bitwise(parse_complex("dim 2\r\n# c\r\n2 1 0\r\n\r\n+3\t2 1"), plain)
+
+
+def test_parse_complex_ids_beyond_64_bits():
+    big = 2**70
+    X = parse_complex(f"dim 1\n0 {big}\n{big} 00{big + 1}\n")
+    assert X.faces(1) == [(0, big), (big, big + 1)]
+    assert X.validate()
+    f = parse_cochain(f"dim 1\n{big + 1} {big} 2.0\n", X)
+    assert f.values.tolist() == [0.0, 2.0]
+
+
+def test_parse_errors_behind_comments_and_blank_lines():
+    # the line loop names the line also where comments and blank lines
+    # shift the numbering
+    with pytest.raises(ParseError, match=r"line 5: duplicate facet \(0, 1, 2\)"):
+        parse_complex("dim 2\n# c\n0 1 2\n\n2 1 0 # again\n")
+    with pytest.raises(ParseError, match="line 4: non-integer vertex id"):
+        parse_complex("# c\ndim 2\n0 1 2\n0 1 y\n")
+    with pytest.raises(ParseError, match="line 3: mixing weighted"):
+        parse_complex("dim 2\n0 1 2\n1 2 3 1.0\n")
+    with pytest.raises(ParseError, match="no facets in file"):
+        parse_complex("dim 2\n# nothing\n\n")
+    with pytest.raises(ParseError, match="dimension must be non-negative"):
+        parse_complex("dim -1\n0\n")
+
+
+def test_cochain_token_route(c42):
+    clean = parse_cochain("dim 1\n0 1 2.5\n2 3 -1.0\n", c42)
+    messy = parse_cochain("# f\r\ndim 1\r\n\r\n3\t2 -1.0\r\n+1 0 2.5", c42)
+    assert clean.values.tolist() == messy.values.tolist()
+    assert parse_cochain("dim 0\n", c42).values.tolist() == [0.0] * 4
+    assert parse_cochain("dim -1\n 4.5\n", c42).values.tolist() == [4.5]
+    with pytest.raises(ParseError, match=r"line 2: face \(0, 5\) is not in the complex"):
+        parse_cochain("dim 1\n0 5 1.0\n", c42)
+    with pytest.raises(ParseError, match="line 3: duplicate face"):
+        parse_cochain("dim -1\n1.0\n2.0\n", c42)
+
+
 def test_cochain_roundtrip(c42):
     rng = np.random.default_rng(40)
     for k in range(-1, c42.top_dim + 1):
@@ -136,6 +212,16 @@ def test_generate_random_pure_deterministic():
     assert A.is_close(B, tol=0.0)
     C = generate("random_pure", n=7, d=2, m=12, seed=2)
     assert A.facets != C.facets
+
+
+def test_random_pure_gives_up_with_hypothesis_error():
+    # the sampler redraws whole facet sets; (16, 2, 70) finds no sample
+    # with connected links on seed 1
+    with pytest.raises(
+        HypothesisError,
+        match=re.escape("random_pure(16,2,70,seed=1): no connected-link sample within 3 retries"),
+    ):
+        generate("random_pure", n=16, d=2, m=70, seed=1, retries=3)
 
 
 def test_generate_rejections():
@@ -259,6 +345,9 @@ def test_cli_exit_codes(tmp_path, c42_file):
     assert r.returncode == 3
     r = run_cli("analyze", str(disc))
     assert r.returncode == 3
+    # hypothesis failure: no random_pure sample with connected links
+    r = run_cli("generate", "random_pure", "--n", "16", "--d", "2", "--m", "70", "--seed", "1")
+    assert r.returncode == 3 and "within 500 retries" in r.stderr
 
 
 def _per_cochain_cases(X, theorem, samples, seed):

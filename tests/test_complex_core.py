@@ -2,18 +2,23 @@ import math
 import re
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from hdxwalk import (
     ComplexError,
     build_complex,
+    canonical_face,
     faces,
+    generate,
     link_of,
     skeleton_of,
+    weight_vector,
 )
-from hdxwalk.complex_core import PureComplex
+from hdxwalk.complex_core import PureComplex, _sub
 
 TOL = 1e-12
 
@@ -341,3 +346,70 @@ def test_link_of_equals_link_scan(all_fixtures, skewed83):
             for i in range(0, L.top_dim):
                 for tau in L.faces(i):
                     _assert_same_link(link_of(L, tau), oracle.link_scan(L, tau))
+
+
+def _assert_bitwise(X, Y):
+    """Same faces in the same order and bitwise equal weights."""
+    assert X.top_dim == Y.top_dim
+    for k in range(-1, X.top_dim + 1):
+        assert X.faces(k) == Y.faces(k)
+    assert X.weight == Y.weight
+
+
+def _assert_sub_by_scan(X):
+    """Every subface array of ``X`` (from the closure, or by key lookup on
+    a copy built from its face lists) equals the dict lookup, and so do the
+    cached weight vectors."""
+    copy = PureComplex(X.top_dim, X.faces_by_dim, X.weight)
+    for k in range(X.top_dim + 1):
+        expect = oracle.sub_scan(X, k)
+        assert np.array_equal(_sub(X, k), expect)
+        assert np.array_equal(_sub(copy, k), expect)
+    for k in range(-1, X.top_dim + 1):
+        assert weight_vector(X, k).tolist() == [X.weight[f] for f in X.faces(k)]
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=st.one_of(oracle.weighted_facets(), oracle.relabeled_facets()))
+def test_closure_matches_closure_scan(drawn):
+    # faces, weights and subface arrays agree bitwise with the dict closure,
+    # also on ids up to 10**12 in dimension up to 6, and on the links and
+    # skeletons built from the result
+    facets, weights = drawn
+    X = build_complex(facets, weights)
+    _assert_bitwise(X, oracle.closure_scan([canonical_face(F) for F in facets], weights))
+    _assert_sub_by_scan(X)
+    for v in X.faces(0)[:3]:
+        if X.top_dim >= 1:
+            _assert_sub_by_scan(link_of(X, v))
+    if X.top_dim >= 1:
+        _assert_sub_by_scan(skeleton_of(X, X.top_dim - 1))
+
+
+def test_closure_matches_closure_scan_on_generated(all_fixtures, skewed83):
+    named = all_fixtures + [("skewed_complete83", skewed83)]
+    named += [("complete144", generate("complete", n=14, d=4))]
+    named += [("partite6666", generate("partite", parts=[6, 6, 6, 6]))]
+    for _, X in named:
+        weights = [X.weight[F] for F in X.facets]
+        _assert_bitwise(build_complex(X.facets, weights), oracle.closure_scan(X.facets, weights))
+        _assert_sub_by_scan(X)
+
+
+def test_ids_beyond_64_bits():
+    # ids that fit no int64 take an object array through the same route
+    big = 2**70
+    X = build_complex([(big, 3, 5), (3, 5, 10**20), (5, big, 10**20)])
+    assert X.faces(0) == [(3,), (5,), (10**20,), (big,)]
+    assert X.validate()
+    _assert_bitwise(X, oracle.closure_scan([canonical_face(F) for F in X.facets]))
+    _assert_sub_by_scan(X)
+    _assert_sub_by_scan(link_of(X, (5,)))
+
+
+def test_sub_lookup_raises_key_error_on_missing_face():
+    # the key lookup of a complex built without its edge (1, 3)
+    X = _two_triangles_with(_drop_edge)
+    assert np.array_equal(_sub(X, 1), oracle.sub_scan(X, 1))
+    with pytest.raises(KeyError):
+        _sub(X, 2)
