@@ -130,6 +130,9 @@ def cmd_decompose(args):
     X = _load_complex(args.file)
     f = parse_cochain(_read(args.cochain), X)
     decomp = proper_decompose(X, f)
+    # the orthogonality residual scales with |f|^2 and the reconstruction
+    # residual with |f|, so each is judged relative to that scale
+    scale_sq = float(norm_sq(X, f))
     recon = float(
         np.sqrt(norm_sq(X, Cochain(X, f.dim, f.values - decomp.reconstruction())))
     )
@@ -147,7 +150,7 @@ def cmd_decompose(args):
         "norms_sq": {str(i): decomp.norms_sq[i] for i in levels},
         "reconstruction_residual": recon,
         "orthogonality_residual": ortho,
-        "pass": bool(recon <= 1e-10 and ortho <= 1e-10),
+        "pass": bool(recon <= 1e-10 * np.sqrt(scale_sq) and ortho <= 1e-10 * scale_sq),
     }
     _emit(report, args.json)
     return EXIT_PASS if report["pass"] else EXIT_VIOLATION

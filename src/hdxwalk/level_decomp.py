@@ -10,8 +10,15 @@ A k-cochain is *i-level* (localization viewer) when its viewed mean
 vanishes at every (i-1)-face; equivalently it is W-orthogonal to the range
 ``R_{i-1}`` of the lift ``multi_up(X, i-1, k-i+1)``.  These ranges form a
 flag ``R_{-1} <= R_0 <= ... <= R_{k-1}`` (``R_{-1}`` the constants), so one
-block Gram-Schmidt over it gives every proper level ``R_i - R_{i-1}`` and
-the orthogonal decomposition ``f = f_{-1} + f_0 + ... + f_k``.
+block Gram-Schmidt over it gives every proper level ``R_i - R_{i-1}`` below
+the top and the orthogonal decomposition ``f = f_{-1} + f_0 + ... + f_k``.
+
+The bases of levels -1..k-1 and their ``sqrt(w)``-scaled stack are cached
+together.  The top level k is the complement of the stack; its basis takes
+one complete QR, an ``n_k x n_k`` factor, and is built only when a caller
+asks for it (``proper_level_basis(X, k, k)``, ``level_space``, the level
+masses of the certificates).  :func:`proper_decompose` never does: its top
+component is ``sqrt(w) f`` projected off the stack twice.
 """
 
 from __future__ import annotations
@@ -117,12 +124,13 @@ def _complement(Q):
     return np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]
 
 
-def _proper_bases(X, k):
-    """Read-only W-orthonormal bases of the proper levels -1..k, by level.
+def _range_bases(X, k):
+    """Read-only W-orthonormal bases of the proper levels -1..k-1, by level,
+    and the read-only ``sqrt(w)``-scaled stack ``Q`` of them.
 
     In ``sqrt(w)``-scaled coordinates level i < k is the new part of the
-    lift block ``multi_up(X, i, k-i)`` and level k the complement of all
-    blocks.  The lifts are uniform averages, so no rank depends on weights.
+    lift block ``multi_up(X, i, k-i)``.  The lifts are uniform averages, so
+    no rank depends on weights.  Cached under ``("range_bases", k)``.
     """
     if not -1 <= k <= X.top_dim:
         raise ComplexError(f"level bases need -1 <= k <= {X.top_dim}, got {k}")
@@ -134,13 +142,27 @@ def _proper_bases(X, k):
         for i in range(-1, k):
             bases[i] = _range_basis(s * multi_up(X, i, k - i).matrix, Q)
             Q = np.hstack([Q, bases[i]])
-        bases[k] = _complement(Q)
         for i, B in bases.items():
             bases[i] = B / s
             bases[i].flags.writeable = False
-        return bases
+        Q.flags.writeable = False
+        return bases, Q
 
-    return _cached_op(X, ("proper_bases", k), build)
+    return _cached_op(X, ("range_bases", k), build)
+
+
+def _top_basis(X, k):
+    """Read-only W-orthonormal basis of the proper level k: the complement
+    of the range stack, from one complete QR of it, an ``n_k x n_k`` factor.
+    Built on first use and cached under ``("top_basis", k)``."""
+    _, Q = _range_bases(X, k)
+
+    def build():
+        B = _complement(Q) / np.sqrt(weight_vector(X, k))[:, None]
+        B.flags.writeable = False
+        return B
+
+    return _cached_op(X, ("top_basis", k), build)
 
 
 def level_space(X, k, i) -> LevelBasis:
@@ -149,8 +171,7 @@ def level_space(X, k, i) -> LevelBasis:
     cochains whose localized mean vanishes at every (i-1)-face."""
     if not 0 <= i <= k <= X.top_dim:
         raise ComplexError(f"level_space needs 0 <= i <= k <= {X.top_dim}")
-    bases = _proper_bases(X, k)
-    return LevelBasis(k, i, np.hstack([bases[j] for j in range(i, k + 1)]))
+    return LevelBasis(k, i, np.hstack([proper_level_basis(X, k, j) for j in range(i, k + 1)]))
 
 
 def restriction_level_space(X, i) -> LevelBasis:
@@ -177,7 +198,7 @@ def proper_level_basis(X, k, i) -> np.ndarray:
     orthogonal to the (i+1)-level space); level -1 is the constants."""
     if not -1 <= i <= k:
         raise ComplexError(f"proper levels of {k}-cochains run -1..{k}, got {i}")
-    return _proper_bases(X, k)[i]
+    return _top_basis(X, k) if i == k else _range_bases(X, k)[0][i]
 
 
 @dataclass(frozen=True)
@@ -195,16 +216,27 @@ class LevelDecomposition:
 def proper_decompose(X, f: Cochain) -> LevelDecomposition:
     """Split a k-cochain into proper level components, top level first.
 
-    Component i is ``B_i B_i^T W f`` for the W-orthonormal proper basis
-    ``B_i``; the constant part is what the levels 0..k leave over, so the
+    The top level k is what the lower levels leave over: in ``sqrt(w)``
+    coordinates, ``r = sqrt(w) f`` projected off the range stack ``Q`` of
+    levels -1..k-1 twice, so no basis of level k is built.  Component
+    0 <= i < k is ``B_i B_i^T W f`` for the W-orthonormal proper basis
+    ``B_i``.  The constant part is what the levels 0..k leave over, so the
     components sum to ``f`` exactly.
     """
     k = f.dim
-    bases = _proper_bases(X, k)
-    wf = weight_vector(X, k) * f.values
+    bases, Q = _range_bases(X, k)
+    w = weight_vector(X, k)
     components = {}
     residual = f.values.copy()
-    for i in range(k, -1, -1):
+    if k >= 0:
+        s = np.sqrt(w)
+        r = s * f.values
+        for _ in range(2):
+            r = r - Q @ (Q.T @ r)
+        components[k] = Cochain(X, k, r / s)
+        residual -= components[k].values
+    wf = w * f.values
+    for i in range(k - 1, -1, -1):
         vals = bases[i] @ (bases[i].T @ wf)
         components[i] = Cochain(X, k, vals)
         residual -= vals

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex_core import ComplexError, _star, link_of
+from .complex_core import ComplexError, _star, _sub
 from .cochain_ops import (
     Cochain,
     _same_space,
@@ -338,7 +338,10 @@ def trickling_down_check(X, samples=5, seed=0) -> TricklingReport:
     restricted cochain over a vertex link equals the non-lazy walk applied
     at that vertex, on ``samples`` Gaussian vertex cochains drawn as one
     block: the walk is one matrix product, and each vertex restricts the
-    block to its link (built by ``link_of``) with one gather.
+    block to its link with one gather.  The link of ``v`` is read off the
+    edge index ``_sub(X, 1)``: its vertices are the other endpoints of the
+    edges over ``v`` in ascending position, the vertex ``u`` weighing
+    ``w(uv) / (2 w(v))``; no link complex is built.
     """
     if X.top_dim < 2:
         raise ComplexError("trickling down needs a complex of dimension >= 2")
@@ -353,11 +356,18 @@ def trickling_down_check(X, samples=5, seed=0) -> TricklingReport:
     rng = np.random.default_rng(seed)
     F = rng.standard_normal((max(samples, 0), X.n_faces(0))).T
     MF = nonlazy(X, 0).matrix @ F
+    # row e of _sub(X, 1) holds the positions of edge e's endpoints, so its
+    # reverse holds each entry's other endpoint; a stable sort by endpoint
+    # groups the edges over each vertex in ascending position
+    ends = _sub(X, 1)
+    end = ends.ravel()
+    order = np.argsort(end, kind="stable")
+    other = ends[:, ::-1].ravel()[order]
+    link_w = weight_vector(X, 1)[order // 2] / (2 * weight_vector(X, 0)[end[order]])
+    splits = np.cumsum(np.bincount(end, minlength=X.n_faces(0)))[:-1]
     residual = 0.0
-    for pos, v in enumerate(X.faces(0)):
-        link = link_of(X, v)
-        idx = [X.face_index[u] for u in link.faces(0)]
-        gap = np.abs(F[idx].T @ weight_vector(link, 0) - MF[pos])
+    for pos, (nbrs, wl) in enumerate(zip(np.split(other, splits), np.split(link_w, splits))):
+        gap = np.abs(F[nbrs].T @ wl - MF[pos])
         residual = max(residual, float(np.max(gap, initial=0.0)))
     passed = bool(actual <= bound + SLACK_TOL and residual <= 1e-12)
     return TricklingReport(float(lam), float(bound), float(actual), float(residual), passed)

@@ -9,6 +9,9 @@ each link with ``link_of`` and evaluate inside it.
 ``bootstrap_condition1_dense`` is bootstrap condition 1 as the top
 eigenvalue of a dense form on the 0-level k-cochains, where the package
 takes one eigenvalue of the vertex up-down walk.
+``proper_decompose_complete`` is the proper level decomposition with
+every level's basis built, the top level from one complete QR, where the
+package takes the top level as a residual.
 ``weighted_pure_complexes`` is the hypothesis strategy the property tests
 draw their complexes from.  ``closure_scan`` and ``sub_scan`` are the dict
 closure and the dict subface lookup that the package's array closure and
@@ -461,3 +464,43 @@ def bootstrap_condition1_dense(X, k):
     R = B.T @ (w[:, None] * (A @ B))
     R = (R + R.T) / 2.0
     return -float(np.linalg.eigvalsh(R)[-1])
+
+
+def proper_bases_complete(X, k):
+    """W-orthonormal bases of the proper levels -1..k by one block
+    Gram-Schmidt over the lifts and one complete QR for level k, built
+    afresh with nothing cached: the second route for the package's cached
+    range bases and top basis, which must agree with it bitwise."""
+    from hdxwalk.cochain_ops import multi_up, weight_vector
+    from hdxwalk.level_decomp import _complement, _range_basis
+
+    s = np.sqrt(weight_vector(X, k))[:, None]
+    Q = np.zeros((len(s), 0))
+    bases = {}
+    for i in range(-1, k):
+        bases[i] = _range_basis(s * multi_up(X, i, k - i).matrix, Q)
+        Q = np.hstack([Q, bases[i]])
+    bases[k] = _complement(Q)
+    return {i: B / s for i, B in bases.items()}
+
+
+def proper_decompose_complete(X, f):
+    """``proper_decompose`` with every level, the top one included,
+    applied as ``B_i B_i^T W f`` on the bases of
+    :func:`proper_bases_complete`; the constant part is what the levels
+    0..k leave over."""
+    from hdxwalk.cochain_ops import Cochain, norm_sq, weight_vector
+    from hdxwalk.level_decomp import LevelDecomposition
+
+    k = f.dim
+    bases = proper_bases_complete(X, k)
+    wf = weight_vector(X, k) * f.values
+    components = {}
+    residual = f.values.copy()
+    for i in range(k, -1, -1):
+        vals = bases[i] @ (bases[i].T @ wf)
+        components[i] = Cochain(X, k, vals)
+        residual -= vals
+    components[-1] = Cochain(X, k, residual)
+    norms_sq = {i: norm_sq(X, g) for i, g in components.items()}
+    return LevelDecomposition(components, norms_sq)

@@ -306,6 +306,25 @@ def test_cli_decompose(c42_file, tmp_path):
     assert rep["orthogonality_residual"] <= 1e-10
 
 
+@pytest.mark.parametrize("scale", [1e4, 1e8, 1e-6])
+def test_cli_decompose_residuals_relative_to_the_cochain(tmp_path, scale):
+    # the orthogonality residual grows with |f|^2 and the reconstruction
+    # residual with |f|, so a correct decomposition of a large cochain must
+    # pass; an absolute 1e-10 failed it from a scale of 1e4 up
+    X = generate("complete", n=22, d=2)
+    f = Cochain(X, 2, scale * np.random.default_rng(0).standard_normal(X.n_faces(2)))
+    cx, cf = tmp_path / "c222.cx", tmp_path / "f.cf"
+    cx.write_text(write_complex(X))
+    cf.write_text(write_cochain(X, f))
+    r = run_cli("decompose", str(cx), "--cochain", str(cf), "--json")
+    assert r.returncode == 0, r.stdout + r.stderr
+    rep = json.loads(r.stdout)
+    nsq = sum(rep["norms_sq"].values())
+    assert rep["pass"] is True
+    assert rep["reconstruction_residual"] <= 1e-10 * np.sqrt(nsq)
+    assert rep["orthogonality_residual"] <= 1e-10 * nsq
+
+
 def test_cli_minimize(c42_file, tmp_path):
     cpath = tmp_path / "flow.cf"
     cpath.write_text("dim 1\n0 1 1\n1 2 1\n0 2 -1\n")

@@ -2,6 +2,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from hdxwalk import (
@@ -11,6 +13,7 @@ from hdxwalk import (
     RESTRICTION,
     build_complex,
     diff,
+    generate,
     inner_product,
     level_space,
     lift_to_zero,
@@ -23,6 +26,7 @@ from hdxwalk import (
     view,
     weight_vector,
 )
+from hdxwalk import level_decomp
 from hdxwalk.level_decomp import level_projector, restriction_level_space
 from hdxwalk.theorem_verify import random_mean_zero_cochain
 
@@ -208,6 +212,62 @@ def test_proper_decompose_invariants(all_fixtures):
                 for i in range(0, k):
                     Pnext = level_projector(X, k, i + 1)
                     assert np.max(np.abs(Pnext @ d.components[i].values)) <= LEVEL_TOL
+
+
+def _assert_matches_complete_route(X, rng, mass_tol):
+    """proper_decompose against the route that builds every level basis,
+    the top one by a complete QR, at every dimension of ``X``: level masses
+    within ``mass_tol * max(1, |f|^2)``, components within ``LEVEL_TOL``
+    in the W-norm (entries on faces of weight w are only fixed to rounding
+    over sqrt(w)), and every level basis bitwise."""
+    for k in range(0, X.top_dim + 1):
+        f = _random_cochain(X, k, rng)
+        got = proper_decompose(X, f)
+        want = oracle.proper_decompose_complete(X, f)
+        nsq = norm_sq(X, f)
+        assert sorted(got.components) == list(range(-1, k + 1))
+        for i in range(-1, k + 1):
+            assert abs(got.norms_sq[i] - want.norms_sq[i]) <= mass_tol * max(1.0, nsq)
+            gap = Cochain(X, k, got.components[i].values - want.components[i].values)
+            assert np.sqrt(norm_sq(X, gap)) <= LEVEL_TOL * max(1.0, np.sqrt(nsq))
+        bases = oracle.proper_bases_complete(X, k)
+        for i in range(-1, k + 1):
+            assert np.array_equal(proper_level_basis(X, k, i), bases[i])
+
+
+def test_proper_decompose_matches_complete_route(all_fixtures, skewed83):
+    rng = np.random.default_rng(15)
+    for _, X in all_fixtures + [("skewed83", skewed83)]:
+        _assert_matches_complete_route(X, rng, 1e-15)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(X=oracle.weighted_pure_complexes(), seed=st.integers(0, 2**32 - 1))
+def test_proper_decompose_matches_complete_route_property(X, seed):
+    # each route's masses carry a few ulps of |f|^2 of rounding (up to
+    # 8.1e-16 off the exact mass for the complete route at k = 0), so over
+    # many draws their difference reaches 1.2e-15
+    _assert_matches_complete_route(X, np.random.default_rng(seed), 2e-15)
+
+
+def test_proper_decompose_builds_no_complement(monkeypatch):
+    # the top level is a residual: decomposing on a fresh complex never
+    # forms the complete n_k x n_k QR factor, which only level k's basis needs
+    def refuse(Q):
+        raise AssertionError("complete QR formed")
+
+    monkeypatch.setattr(level_decomp, "_complement", refuse)
+    X = generate("complete", n=8, d=3)
+    rng = np.random.default_rng(16)
+    for k in range(0, 4):
+        f = _random_cochain(X, k, rng)
+        d = proper_decompose(X, f)
+        assert np.max(np.abs(d.reconstruction() - f.values)) <= LEVEL_TOL
+    # a (-1)-cochain is all constant part
+    d = proper_decompose(X, Cochain(X, -1, np.array([3.0])))
+    assert list(d.components) == [-1] and d.components[-1].values[0] == 3.0
+    with pytest.raises(AssertionError, match="complete QR"):
+        proper_level_basis(X, 3, 3)
 
 
 def test_projector_algebra(all_fixtures):
