@@ -290,6 +290,10 @@ def generate(kind, **params):
     (bounded retries) until every link of dimension <= d-2 has a connected
     1-skeleton; identical seeds give identical complexes.
     """
+    required = {"complete": ("n", "d"), "partite": ("parts",), "random_pure": ("n", "d", "m")}
+    for name in required.get(kind, ()):
+        if params.get(name) is None:
+            raise ComplexError(f"generate {kind} needs the parameter {name}")
     if kind == "complete":
         n, d = int(params["n"]), int(params["d"])
         if n < d + 1 or d < 0:

@@ -143,9 +143,11 @@ def localize(X, f: Cochain, sigma) -> Cochain:
     """Localization ``f_sigma(t) = f(sigma | t)`` on the link of ``sigma``.
 
     Requires ``dim(sigma) < dim(f)``; the result lives on ``link_of(X,
-    sigma)`` and has dimension ``dim(f) - dim(sigma) - 1``.
+    sigma)`` and has dimension ``dim(f) - dim(sigma) - 1``.  The p-th
+    face of the link is the p-th face over ``sigma``, so the values are
+    one gather.
     """
-    from .complex_core import link_of
+    from .complex_core import _over, link_of
 
     _same_space(X, f)
     sigma = canonical_face(sigma)
@@ -158,12 +160,7 @@ def localize(X, f: Cochain, sigma) -> Cochain:
         )
     if sigma == ():
         return f
-    link = link_of(X, sigma)
-    j = f.dim - i - 1
-    vals = np.empty(link.n_faces(j))
-    for pos, tau in enumerate(link.faces(j)):
-        vals[pos] = f.values[X.index_of(canonical_face(sigma + tau))]
-    return Cochain(link, j, vals)
+    return Cochain(link_of(X, sigma), f.dim - i - 1, f.values[_over(X, sigma, f.dim)[0]])
 
 
 def diff(X, k) -> LinOp:

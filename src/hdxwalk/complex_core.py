@@ -27,11 +27,12 @@ lookup.  Operator matrices and link spectra are scattered from it.
 weight recursion by pushing the facet weights down it, one dimension at a
 time.
 
-Links and coface sums still read the star index: for each vertex and
-dimension, the positions of the faces containing that vertex (the top row
-is the facet star), built once per complex under the cache key
-``("star",)``.  Every "faces over sigma" query intersects the stars of
-sigma's vertices instead of scanning all faces.
+Links are read off the same arrays: the k-faces over a face sigma are the
+rows of ``_rows(X, k)`` that hold every rank of sigma, found by one mask
+(:func:`_over`).  Removing sigma from the sets that contain it keeps
+their lexicographic order, since the least element of the symmetric
+difference of two of them does not change, so the p-th face over sigma
+gives the p-th face of its link.
 """
 
 from __future__ import annotations
@@ -312,7 +313,7 @@ def _closure(facets, facet_weights):
         cached[("sub", k)] = inv[f[:, None], drop[c]]
         over = np.bincount(subset_face, np.repeat(top, len(combos)), len(keys))
         weights[k] = over / math.comb(width, k + 1)
-        faces_by_dim[k] = list(zip(*(map(labels.__getitem__, col) for col in rows.T.tolist())))
+        faces_by_dim[k] = _as_tuples(rows, labels)
         inv = subset_face.reshape(m, len(combos))
     if len(faces_by_dim[d]) < m:
         raise ComplexError("duplicate facet")
@@ -336,23 +337,6 @@ def _cached_op(X, key, builder):
     if key not in X._cache:
         X._cache[key] = builder()
     return X._cache[key]
-
-
-def _star(X):
-    """The star index of ``X``: ``star[v][k]`` lists the ascending positions
-    in ``X.faces(k)`` of the k-faces containing vertex ``v``; its top row
-    ``star[v][X.top_dim]`` is the facet star.  Built once per complex under
-    the cache key ``("star",)``."""
-
-    def build():
-        star = {v: [[] for _ in range(X.top_dim + 1)] for (v,) in X.faces_by_dim[0]}
-        for k in range(X.top_dim + 1):
-            for pos, face in enumerate(X.faces_by_dim[k]):
-                for v in face:
-                    star[v][k].append(pos)
-        return star
-
-    return _cached_op(X, ("star",), build)
 
 
 def _locate(table, values):
@@ -428,14 +412,23 @@ def _sub(X, k):
     return _cached_op(X, ("sub", k), build)
 
 
-def _faces_over(X, sigma, k):
-    """The k-faces of ``X`` containing the non-empty face ``sigma``, in
-    canonical order: the intersection of the stars of its vertices."""
-    star = _star(X)
-    rows = sorted((star[v][k] for v in sigma), key=len)
-    common = rows[0] if len(rows) == 1 else sorted(set(rows[0]).intersection(*rows[1:]))
-    faces_k = X.faces_by_dim[k]
-    return [faces_k[pos] for pos in common]
+def _over(X, sigma, k):
+    """The k-faces of ``X`` over the face ``sigma``: their positions in
+    ``X.faces(k)``, ascending, and their vertex ranks less sigma's, as an
+    array of k - dim(sigma) columns."""
+    member = np.zeros(X.n_faces(0), bool)
+    member[[X.face_index[(v,)] for v in sigma]] = True
+    rows = _rows(X, k)
+    hit = member[rows]
+    pos = np.flatnonzero(hit.sum(axis=1) == len(sigma))
+    return pos, rows[pos][~hit[pos]].reshape(len(pos), k + 1 - len(sigma))
+
+
+def _as_tuples(rows, labels):
+    """The rows of an array of vertex ranks as tuples of the ids ``labels``."""
+    if not rows.shape[1]:
+        return [()] * len(rows)
+    return list(zip(*(map(labels.__getitem__, col) for col in rows.T.tolist())))
 
 
 def link_of(X, sigma):
@@ -444,7 +437,7 @@ def link_of(X, sigma):
     Weights are induced: a ``j``-face ``t`` of the link of an ``i``-face
     weighs ``w(t | sigma) / (C(i+j+2, i+1) * w(sigma))``.  The link of the
     empty face is the complex itself.  The faces ``t`` over ``sigma`` come
-    from the star index.
+    from one mask over the rank rows of each dimension (:func:`_over`).
     """
     sigma = canonical_face(sigma)
     if sigma not in X.weight:
@@ -456,19 +449,17 @@ def link_of(X, sigma):
         raise ComplexError(f"link of top-dimensional face {sigma} is empty")
 
     def build():
+        from .cochain_ops import weight_vector
+
         d_link = X.top_dim - i - 1
-        sset = set(sigma)
-        w_sigma = X.weight[sigma]
+        labels = _vertex_ids(X).tolist()
         faces_by_dim = {}
         weight = {}
         for j in range(-1, d_link + 1):
-            denom = math.comb(i + j + 2, i + 1) * w_sigma
-            lst = []
-            for tau in _faces_over(X, sigma, i + j + 1):
-                rho = tuple(v for v in tau if v not in sset)
-                lst.append(rho)
-                weight[rho] = X.weight[tau] / denom
-            faces_by_dim[j] = sorted(lst)
+            pos, rest = _over(X, sigma, i + j + 1)
+            w = weight_vector(X, i + j + 1)[pos] / (math.comb(i + j + 2, i + 1) * X.weight[sigma])
+            faces_by_dim[j] = _as_tuples(rest, labels)
+            weight.update(zip(faces_by_dim[j], w.tolist()))
         return PureComplex(d_link, faces_by_dim, weight)
 
     return _cached_op(X, ("link", sigma), build)

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .complex_core import ComplexError, _cached_op, canonical_face, link_of
+from .complex_core import ComplexError, _cached_op, _find, _over, canonical_face, link_of
 from .cochain_ops import (
     Cochain,
     localize,
@@ -70,9 +70,9 @@ def _restrict(X, f: Cochain, sigma) -> Cochain:
         )
     if sigma == ():
         return f
-    link = link_of(X, sigma)
-    vals = np.array([f.values[X.index_of(tau)] for tau in link.faces(f.dim)])
-    return Cochain(link, f.dim, vals)
+    # the p-th face of the link is the p-th face over sigma less sigma's ranks
+    pos = _find(X, _over(X, sigma, f.dim + i + 1)[1])
+    return Cochain(link_of(X, sigma), f.dim, f.values[pos])
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex_core import ComplexError, _star, _sub
+from .complex_core import ComplexError, _rows, _sub
 from .cochain_ops import (
     Cochain,
     _same_space,
@@ -290,20 +290,23 @@ def bootstrap_certificate(X, k) -> BootstrapCertificate:
     lambda_2 of the k-fold vertex up-down walk ``up_down(X, 0, k)``, so
     the condition is one eigenvalue of an ``n_0 x n_0`` walk.  The vertex
     links' tables are read off the per-face link spectra of ``X``
-    (:func:`hdxwalk.spectral.link_lambda2`); no link complex is built.
+    (:func:`hdxwalk.spectral.link_lambda2`), one scatter-max over the
+    rank rows ``_rows(X, j+1)`` per dimension; no link complex is built.
     """
     if not 1 <= k <= X.top_dim - 1:
         raise ComplexError(f"bootstrap_certificate needs 1 <= k < {X.top_dim}")
     r = k - 1
     table = lambda_table(gamma_profile(X), X.top_dim - 1)
     # the link of tau in link(v) is the link of tau + v in X, so gamma_j of
-    # link(v) is the worst link_lambda2(X, j+1) over the star row of v
-    star = _star(X)
-    rows = {j: link_lambda2(X, j + 1) for j in range(-1, X.top_dim - 2)}
-    link_tables = {}
-    for (v,) in X.faces(0):
-        gamma = {j: float(row[star[v][j + 1]].max()) for j, row in rows.items()}
-        link_tables[(v,)] = lambda_table(GammaProfile(gamma), X.top_dim - 2)
+    # link(v) is the worst link_lambda2(X, j+1) over the (j+1)-faces at v
+    dims = range(-1, X.top_dim - 2)
+    gamma = np.full((len(dims), X.n_faces(0)), -np.inf)
+    for row, j in zip(gamma, dims):
+        np.maximum.at(row, _rows(X, j + 1), link_lambda2(X, j + 1)[:, None])
+    link_tables = {
+        v: lambda_table(GammaProfile(dict(zip(dims, col))), X.top_dim - 2)
+        for v, col in zip(X.faces(0), gamma.T.tolist())
+    }
 
     worst_second = np.inf
     for i in range(1, k + 1):

@@ -15,7 +15,8 @@ package takes the top level as a residual.
 ``weighted_pure_complexes`` is the hypothesis strategy the property tests
 draw their complexes from.  ``closure_scan`` and ``sub_scan`` are the dict
 closure and the dict subface lookup that the package's array closure and
-key lookup replaced.
+key lookup replaced; ``localize_scan`` and ``restrict_scan`` view a cochain
+in a link face by face, where the package gathers.
 """
 
 import math
@@ -122,7 +123,8 @@ def weights_from_facets(facets, facet_weights):
 
 def link_scan(X, sigma):
     """Link of ``sigma`` by scanning every face of ``X`` for those over it,
-    uncached: the second route for ``link_of``, which reads the star index."""
+    uncached: the second route for ``link_of``, which masks the rank rows of
+    each dimension."""
     sigma = canonical_face(sigma)
     i = len(sigma) - 1
     d_link = X.top_dim - i - 1
@@ -140,6 +142,32 @@ def link_scan(X, sigma):
                 weight[rho] = X.weight[tau] / denom
         faces_by_dim[j] = sorted(lst)
     return PureComplex(d_link, faces_by_dim, weight)
+
+
+def localize_scan(X, f, sigma):
+    """Localization of ``f`` at ``sigma`` on ``link_scan(X, sigma)``, each
+    link face found with sigma added by ``X.index_of``: the second route for
+    ``localize``, which gathers the values at the faces over sigma."""
+    from hdxwalk.cochain_ops import Cochain
+
+    sigma = canonical_face(sigma)
+    link = link_scan(X, sigma)
+    j = f.dim - len(sigma)
+    vals = np.empty(link.n_faces(j))
+    for pos, tau in enumerate(link.faces(j)):
+        vals[pos] = f.values[X.index_of(canonical_face(sigma + tau))]
+    return Cochain(link, j, vals)
+
+
+def restrict_scan(X, f, sigma):
+    """Restriction of ``f`` to ``link_scan(X, sigma)``, each link face found
+    by ``X.index_of``: the second route for ``level_decomp._restrict``, which
+    looks the link's faces up by key."""
+    from hdxwalk.cochain_ops import Cochain
+
+    link = link_scan(X, sigma)
+    vals = np.array([f.values[X.index_of(tau)] for tau in link.faces(f.dim)])
+    return Cochain(link, f.dim, vals)
 
 
 def validate_scan(X, tol=WEIGHT_TOL):

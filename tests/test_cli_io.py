@@ -335,6 +335,23 @@ def test_cli_minimize(c42_file, tmp_path):
     assert rep["k_level_residual"] == rep["local_minimality_residual"]
 
 
+@pytest.mark.parametrize("scale", [1e8, 1e-8])
+def test_cli_minimize_residual_relative_to_the_cochain(tmp_path, scale):
+    # the residual is a weighted mean of values, so its rounding grows with
+    # the largest input value; an absolute 1e-10 failed a correct minimal
+    # representative at scale 1e8
+    X = generate("complete", n=14, d=4)
+    f = Cochain(X, 3, scale * np.random.default_rng(0).standard_normal(X.n_faces(3)))
+    cx, cf = tmp_path / "c144.cx", tmp_path / "f.cf"
+    cx.write_text(write_complex(X))
+    cf.write_text(write_cochain(X, f))
+    r = run_cli("minimize", str(cx), "--cochain", str(cf), "--json")
+    assert r.returncode == 0, r.stdout + r.stderr
+    rep = json.loads(r.stdout)
+    assert rep["pass"] is True
+    assert rep["local_minimality_residual"] <= 1e-10 * np.max(np.abs(f.values))
+
+
 def test_cli_exit_codes(tmp_path, c42_file):
     # usage: unknown theorem name
     r = run_cli("verify", c42_file, "--theorem", "nonsense")
@@ -367,6 +384,17 @@ def test_cli_exit_codes(tmp_path, c42_file):
     # hypothesis failure: no random_pure sample with connected links
     r = run_cli("generate", "random_pure", "--n", "16", "--d", "2", "--m", "70", "--seed", "1")
     assert r.returncode == 3 and "within 500 retries" in r.stderr
+    # usage: a generator parameter missing or not an integer
+    for argv, named in (
+        (("complete", "--d", "2"), "n"),
+        (("random_pure", "--n", "7", "--d", "2"), "m"),
+        (("partite",), "parts"),
+        (("partite", "--parts", "2,x"), "parts"),
+    ):
+        r = run_cli("generate", *argv)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error:") and named in r.stderr
+        assert "Traceback" not in r.stderr
 
 
 def _per_cochain_cases(X, theorem, samples, seed):

@@ -9,13 +9,17 @@ from hypothesis import strategies as st
 
 import oracle
 from hdxwalk import (
+    RESTRICTION,
+    Cochain,
     ComplexError,
     build_complex,
     canonical_face,
     faces,
     generate,
     link_of,
+    localize,
     skeleton_of,
+    view,
     weight_vector,
 )
 from hdxwalk.complex_core import PureComplex, _sub
@@ -334,7 +338,7 @@ def _assert_same_link(L, S):
 
 
 def test_link_of_equals_link_scan(all_fixtures, skewed83):
-    # the star-index link and the scan over every face agree exactly: the
+    # the masked link and the scan over every face agree exactly: the
     # same faces in the same order and bitwise equal weights, on skewed
     # weights and on links of links too
     for _, X in all_fixtures + [("skewed_complete83", skewed83)]:
@@ -346,6 +350,54 @@ def test_link_of_equals_link_scan(all_fixtures, skewed83):
             for i in range(0, L.top_dim):
                 for tau in L.faces(i):
                     _assert_same_link(link_of(L, tau), oracle.link_scan(L, tau))
+
+
+def _assert_same_view(seen, scan):
+    """Same dimension, same faces underneath and bitwise equal values."""
+    assert seen.dim == scan.dim
+    assert seen.complex.faces(seen.dim) == scan.complex.faces(scan.dim)
+    assert seen.values.tobytes() == scan.values.tobytes()
+
+
+def _assert_links_and_views_by_scan(X, rng):
+    """At every face of ``X`` but the facets, the localization and
+    restriction of a Gaussian cochain of every admissible dimension, and the
+    link unless the face is empty (``link_of`` returns ``X`` itself there,
+    where the scan divides by w(())), equal the scans bitwise."""
+    f = {k: Cochain(X, k, rng.standard_normal(X.n_faces(k))) for k in range(-1, X.top_dim + 1)}
+    for i in range(-1, X.top_dim):
+        for sigma in X.faces(i):
+            if sigma:
+                _assert_same_link(link_of(X, sigma), oracle.link_scan(X, sigma))
+            for k in range(i + 1, X.top_dim + 1):
+                _assert_same_view(localize(X, f[k], sigma), oracle.localize_scan(X, f[k], sigma))
+            for k in range(-1, X.top_dim - i):
+                seen = view(RESTRICTION, X, f[k], sigma)
+                _assert_same_view(seen, oracle.restrict_scan(X, f[k], sigma))
+
+
+def test_views_equal_face_by_face_scans(all_fixtures, skewed83):
+    # localization and restriction gather the values at the faces over
+    # sigma; they equal the face-by-face lookups, in each complex and in
+    # each of its vertex links
+    rng = np.random.default_rng(13)
+    for _, X in all_fixtures + [("skewed_complete83", skewed83)]:
+        for Y in [X] + [link_of(X, v) for v in X.faces(0)]:
+            _assert_links_and_views_by_scan(Y, rng)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    X=st.one_of(
+        oracle.weighted_pure_complexes(),
+        oracle.relabeled_facets().map(lambda drawn: build_complex(*drawn)),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_link_of_and_views_equal_scans_property(X, seed):
+    # weights over up to 12 decades, and sparse ids up to 10**12 in dimension
+    # up to 6, where a vertex's rank and id differ
+    _assert_links_and_views_by_scan(X, np.random.default_rng(seed))
 
 
 def _assert_bitwise(X, Y):
@@ -405,6 +457,7 @@ def test_ids_beyond_64_bits():
     _assert_bitwise(X, oracle.closure_scan([canonical_face(F) for F in X.facets]))
     _assert_sub_by_scan(X)
     _assert_sub_by_scan(link_of(X, (5,)))
+    _assert_links_and_views_by_scan(X, np.random.default_rng(0))
 
 
 def test_sub_lookup_raises_key_error_on_missing_face():
