@@ -5,7 +5,6 @@ from .complex_core import (
     PureComplex,
     build_complex,
     canonical_face,
-    faces,
     link_of,
     skeleton_of,
 )
@@ -13,7 +12,6 @@ from .cochain_ops import (
     Cochain,
     LinOp,
     adjoint_diff,
-    constant_projection,
     diff,
     down_up,
     inner_product,
@@ -21,7 +19,6 @@ from .cochain_ops import (
     multi_down,
     multi_up,
     nonlazy,
-    nonlazy_from_iup,
     norm_sq,
     up_down,
     weight_vector,
@@ -34,7 +31,6 @@ from .spectral import (
     is_connected,
     is_local_spectral_expander,
     lambda2_skeleton,
-    psd_sqrt,
     selfadjoint_spectrum,
 )
 from .level_decomp import (
@@ -43,7 +39,6 @@ from .level_decomp import (
     LevelBasis,
     LevelDecomposition,
     level_space,
-    lift_to_zero,
     proper_decompose,
     proper_level_basis,
     view,

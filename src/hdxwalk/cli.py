@@ -194,7 +194,7 @@ def _verify_cases(X, theorem, samples, seed):
         for k in levelled_dims(X, theorem):
             if X.n_faces(k) < 2:
                 continue  # no nonzero admissible cochains at this dimension
-            blocks = [("random", random_mean_zero_block(X, k, rng, max(samples, 0)))]
+            blocks = [("random", random_mean_zero_block(X, k, rng, samples))]
             blocks += [
                 (f"level{i}-basis", proper_level_basis(X, k, i)) for i in range(k + 1)
             ]
@@ -221,6 +221,8 @@ def _verify_cases(X, theorem, samples, seed):
 
 
 def cmd_verify(args):
+    if args.samples < 0:
+        raise ParseError(f"--samples must be non-negative, got {args.samples}")
     X = _load_complex(args.file)
     fixtures = []
     slacks = []

@@ -51,6 +51,8 @@ class ParseError(ValueError):
     """Malformed complex or cochain file (message carries the line number)."""
 
 
+RANDOM_PURE_RETRIES = 500  # facet sets random_pure draws before it gives up
+
 # a comment runs to the end of its line, as ``str.splitlines`` ends lines
 _COMMENT = re.compile(r"#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 
@@ -287,8 +289,8 @@ def generate(kind, **params):
     ``random_pure(n, d, m, seed)`` and ``two_triangles()``.
 
     ``random_pure`` draws ``m`` distinct facets uniformly and resamples
-    (bounded retries) until every link of dimension <= d-2 has a connected
-    1-skeleton; identical seeds give identical complexes.
+    (``RANDOM_PURE_RETRIES`` times) until every link of dimension <= d-2
+    has a connected 1-skeleton; identical seeds give identical complexes.
     """
     required = {"complete": ("n", "d"), "partite": ("parts",), "random_pure": ("n", "d", "m")}
     for name in required.get(kind, ()):
@@ -315,19 +317,18 @@ def generate(kind, **params):
     if kind == "random_pure":
         n, d, m = int(params["n"]), int(params["d"]), int(params["m"])
         seed = int(params.get("seed", 0))
-        retries = int(params.get("retries", 500))
         pool = list(combinations(range(n), d + 1))
         if n < d + 1 or not 1 <= m <= len(pool):
             raise ComplexError(f"random_pure({n},{d},{m}) is infeasible")
         rng = np.random.default_rng(seed)
-        for _ in range(retries):
+        for _ in range(RANDOM_PURE_RETRIES):
             idx = rng.choice(len(pool), size=m, replace=False)
             X = build_complex([pool[i] for i in sorted(idx)])
             if _all_links_connected(X):
                 return X
         raise HypothesisError(
             f"random_pure({n},{d},{m},seed={seed}): no connected-link sample "
-            f"within {retries} retries"
+            f"within {RANDOM_PURE_RETRIES} retries"
         )
     if kind == "two_triangles":
         return build_complex([(0, 1, 2), (1, 2, 3)])

@@ -12,8 +12,9 @@ keeps adjointness and spectrum checks exact to near machine precision.
 ``diff``, ``adjoint_diff`` and the non-lazy walk are written by one numpy
 scatter over the subface index array ``complex_core._sub``; the multi-step
 and up-down/down-up walks are products of those matrices.  Each operator
-has this one route here; the loop-based entrywise tables the tests compare
-them against live in ``tests/oracle.py``.
+has this one route here; the loop-based entrywise tables and the second
+routes of walk identities that the tests compare them against live in
+``tests/oracle.py``.  ``weight_vector`` is re-exported from complex_core.
 """
 
 from __future__ import annotations
@@ -22,13 +23,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex_core import ComplexError, _cached_op, _sub, canonical_face
+from .complex_core import (
+    ComplexError,
+    _cached_op,
+    _over,
+    _sub,
+    canonical_face,
+    link_of,
+    weight_vector,
+)
 
 __all__ = [
     "Cochain",
     "LinOp",
     "adjoint_diff",
-    "constant_projection",
     "diff",
     "down_up",
     "inner_product",
@@ -36,7 +44,6 @@ __all__ = [
     "multi_down",
     "multi_up",
     "nonlazy",
-    "nonlazy_from_iup",
     "norm_sq",
     "up_down",
     "weight_vector",
@@ -110,13 +117,6 @@ def _identity_op(X, k) -> LinOp:
     return LinOp(k, k, np.eye(X.n_faces(k)))
 
 
-def weight_vector(X, k) -> np.ndarray:
-    """Face weights of dimension ``k`` in canonical order (sums to 1)."""
-    return _cached_op(
-        X, ("weights", k), lambda: np.array([X.weight[f] for f in X.faces(k)])
-    )
-
-
 def _same_space(X, f: Cochain):
     if f.complex is X:
         return
@@ -147,8 +147,6 @@ def localize(X, f: Cochain, sigma) -> Cochain:
     face of the link is the p-th face over ``sigma``, so the values are
     one gather.
     """
-    from .complex_core import _over, link_of
-
     _same_space(X, f)
     sigma = canonical_face(sigma)
     if sigma not in X.weight:
@@ -291,21 +289,3 @@ def nonlazy(X, k) -> LinOp:
         return LinOp(k, k, mat)
 
     return _cached_op(X, ("nonlazy", k), build)
-
-
-def nonlazy_from_iup(X, i) -> LinOp:
-    """The vertex walk recovered from the i-fold up-down operator:
-    ``((i+1)/i) * up_down(X, 0, i) - (1/i) * I`` for any ``1 <= i <= d``."""
-    if not 1 <= i <= X.top_dim:
-        raise ComplexError(f"nonlazy_from_iup needs 1 <= i <= {X.top_dim}, got {i}")
-    U = up_down(X, 0, i)
-    n = X.n_faces(0)
-    mat = ((i + 1) / i) * U.matrix - (1.0 / i) * np.eye(n)
-    return LinOp(0, 0, mat)
-
-
-def constant_projection(X, k) -> LinOp:
-    """Projection of k-cochains onto constants: ``f -> <f, 1> * 1``."""
-    w = weight_vector(X, k)
-    mat = np.tile(w, (len(w), 1))
-    return LinOp(k, k, mat)

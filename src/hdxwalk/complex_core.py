@@ -48,9 +48,9 @@ __all__ = [
     "PureComplex",
     "build_complex",
     "canonical_face",
-    "faces",
     "link_of",
     "skeleton_of",
+    "weight_vector",
 ]
 
 WEIGHT_TOL = 1e-12
@@ -110,7 +110,7 @@ class PureComplex:
     def facets(self):
         return self.faces_by_dim[self.top_dim]
 
-    def validate(self, tol=WEIGHT_TOL):
+    def validate(self):
         """Check closure, purity, weight normalization and the recursion.
 
         Closure holds when the subface index :func:`_sub` of every
@@ -118,8 +118,8 @@ class PureComplex:
         ``e(s) = (sum of e(t) over the (k+1)-faces t over s) / (k+2)``;
         in a pure complex, skeletons included, that gives back ``w(s)``.
         A face with no pushed mass lies under no facet (purity), and one
-        whose pushed mass is off its weight by more than ``tol`` breaks the
-        recursion.  Raises ComplexError on the first violated invariant.
+        off by more than ``WEIGHT_TOL`` breaks the recursion.  Raises
+        ComplexError on the first violated invariant.
         """
         d = self.top_dim
         stored = {}
@@ -155,7 +155,7 @@ class PureComplex:
                     if sub not in self.face_index
                 )
                 raise ComplexError(f"closure violated: {sub} missing under {face}") from None
-        if abs(self.weight[()] - 1.0) > tol:
+        if abs(self.weight[()] - 1.0) > WEIGHT_TOL:
             raise ComplexError("weight of the empty face is not 1")
         pushed = {d: stored[d]}
         for k in range(d - 1, -2, -1):
@@ -166,12 +166,12 @@ class PureComplex:
             if not pushed[k].all():
                 raise ComplexError(f"purity violated at {lst[np.argmin(pushed[k])]}")
             total = sum(stored[k].tolist())
-            if abs(total - 1.0) > tol:
+            if abs(total - 1.0) > WEIGHT_TOL:
                 raise ComplexError(f"weights of dimension {k} sum to {total!r}, not 1")
-        if abs(sum(stored[d].tolist()) - 1.0) > tol:
+        if abs(sum(stored[d].tolist()) - 1.0) > WEIGHT_TOL:
             raise ComplexError("facet weights do not sum to 1")
         for k in range(-1, d):
-            off = np.abs(pushed[k] - stored[k]) > tol
+            off = np.abs(pushed[k] - stored[k]) > WEIGHT_TOL
             if off.any():
                 face = self.faces_by_dim[k][np.argmax(off)]
                 raise ComplexError(f"weight recursion violated at {face}")
@@ -279,7 +279,7 @@ def _closure(facets, facet_weights):
     one ``bincount`` over those faces: the facet weights over each face
     added in facet order from 0.0, as a dict closure adds them.  The
     subface arrays (:func:`_sub`), face keys, vertex ids and
-    weight vectors fall out of the same pass and are cached on the result.
+    weights (:func:`weight_vector`) fall out of the same pass, cached.
     """
     m, width = facets.shape
     d = width - 1
@@ -329,6 +329,14 @@ def _closure(facets, facet_weights):
     for key, value in cached.items():
         _cached_op(X, key, lambda: value)
     return X
+
+
+def weight_vector(X, k) -> np.ndarray:
+    """Face weights of dimension ``k`` in canonical order (sums to 1).
+    Cached under ``("weights", k)``, where :func:`_closure` leaves its own."""
+    return _cached_op(
+        X, ("weights", k), lambda: np.array([X.weight[f] for f in X.faces(k)])
+    )
 
 
 def _cached_op(X, key, builder):
@@ -449,8 +457,6 @@ def link_of(X, sigma):
         raise ComplexError(f"link of top-dimensional face {sigma} is empty")
 
     def build():
-        from .cochain_ops import weight_vector
-
         d_link = X.top_dim - i - 1
         labels = _vertex_ids(X).tolist()
         faces_by_dim = {}
@@ -481,6 +487,3 @@ def skeleton_of(X, i):
     return PureComplex(i, faces_by_dim, weight)
 
 
-def faces(X, k):
-    """Canonically ordered faces of dimension ``k`` (see PureComplex.faces)."""
-    return X.faces(k)

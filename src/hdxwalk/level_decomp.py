@@ -13,12 +13,12 @@ flag ``R_{-1} <= R_0 <= ... <= R_{k-1}`` (``R_{-1}`` the constants), so one
 block Gram-Schmidt over it gives every proper level ``R_i - R_{i-1}`` below
 the top and the orthogonal decomposition ``f = f_{-1} + f_0 + ... + f_k``.
 
-The bases of levels -1..k-1 and their ``sqrt(w)``-scaled stack are cached
-together.  The top level k is the complement of the stack; its basis takes
-one complete QR, an ``n_k x n_k`` factor, and is built only when a caller
-asks for it (``proper_level_basis(X, k, k)``, ``level_space``, the level
-masses of the certificates).  :func:`proper_decompose` never does: its top
-component is ``sqrt(w) f`` projected off the stack twice.
+The flag is cached once, as the ``sqrt(w)``-scaled stack of levels -1..k-1
+and the column where each starts.  The top level k is the stack's
+complement; its basis takes one complete QR, an ``n_k x n_k`` factor, and
+is built only when a caller asks for it (``proper_level_basis(X, k, k)``,
+``level_space``, the certificates' level masses).  :func:`proper_decompose`
+never does: its top component is ``sqrt(w) f`` projected off the stack twice.
 """
 
 from __future__ import annotations
@@ -35,10 +35,8 @@ from .cochain_ops import (
     multi_up,
     nonlazy,
     norm_sq,
-    up_down,
     weight_vector,
 )
-from .spectral import psd_sqrt
 
 __all__ = [
     "LOCALIZATION",
@@ -46,9 +44,7 @@ __all__ = [
     "LevelBasis",
     "LevelDecomposition",
     "Viewer",
-    "level_projector",
     "level_space",
-    "lift_to_zero",
     "proper_decompose",
     "proper_level_basis",
     "restriction_level_space",
@@ -125,8 +121,8 @@ def _complement(Q):
 
 
 def _range_bases(X, k):
-    """Read-only W-orthonormal bases of the proper levels -1..k-1, by level,
-    and the read-only ``sqrt(w)``-scaled stack ``Q`` of them.
+    """The read-only ``sqrt(w)``-scaled stack ``Q`` of the proper levels
+    -1..k-1 and ``starts``: level i is ``Q[:, starts[i+1]:starts[i+2]]``.
 
     In ``sqrt(w)``-scaled coordinates level i < k is the new part of the
     lift block ``multi_up(X, i, k-i)``.  The lifts are uniform averages, so
@@ -138,15 +134,12 @@ def _range_bases(X, k):
     def build():
         s = np.sqrt(weight_vector(X, k))[:, None]
         Q = np.zeros((len(s), 0))
-        bases = {}
+        starts = [0]
         for i in range(-1, k):
-            bases[i] = _range_basis(s * multi_up(X, i, k - i).matrix, Q)
-            Q = np.hstack([Q, bases[i]])
-        for i, B in bases.items():
-            bases[i] = B / s
-            bases[i].flags.writeable = False
+            Q = np.hstack([Q, _range_basis(s * multi_up(X, i, k - i).matrix, Q)])
+            starts.append(Q.shape[1])
         Q.flags.writeable = False
-        return bases, Q
+        return Q, tuple(starts)
 
     return _cached_op(X, ("range_bases", k), build)
 
@@ -155,7 +148,7 @@ def _top_basis(X, k):
     """Read-only W-orthonormal basis of the proper level k: the complement
     of the range stack, from one complete QR of it, an ``n_k x n_k`` factor.
     Built on first use and cached under ``("top_basis", k)``."""
-    _, Q = _range_bases(X, k)
+    Q, _ = _range_bases(X, k)
 
     def build():
         B = _complement(Q) / np.sqrt(weight_vector(X, k))[:, None]
@@ -187,18 +180,17 @@ def restriction_level_space(X, i) -> LevelBasis:
     return LevelBasis(0, i, _complement(Q) / s)
 
 
-def level_projector(X, k, i) -> np.ndarray:
-    """Matrix of the W-orthogonal projection onto the i-level space."""
-    B = level_space(X, k, i).vectors
-    return B @ (B.T * weight_vector(X, k)[None, :])
-
-
 def proper_level_basis(X, k, i) -> np.ndarray:
     """W-orthonormal basis of the proper i-level space (i-level and
     orthogonal to the (i+1)-level space); level -1 is the constants."""
     if not -1 <= i <= k:
         raise ComplexError(f"proper levels of {k}-cochains run -1..{k}, got {i}")
-    return _top_basis(X, k) if i == k else _range_bases(X, k)[0][i]
+    if i == k:
+        return _top_basis(X, k)
+    Q, starts = _range_bases(X, k)
+    s = np.sqrt(weight_vector(X, k))[:, None]
+    # Fortran order, as the SVD factor the columns come from: products round alike
+    return np.divide(Q[:, starts[i + 1]:starts[i + 2]], s, order="F")
 
 
 @dataclass(frozen=True)
@@ -224,7 +216,7 @@ def proper_decompose(X, f: Cochain) -> LevelDecomposition:
     components sum to ``f`` exactly.
     """
     k = f.dim
-    bases, Q = _range_bases(X, k)
+    Q, _ = _range_bases(X, k)
     w = weight_vector(X, k)
     components = {}
     residual = f.values.copy()
@@ -237,39 +229,10 @@ def proper_decompose(X, f: Cochain) -> LevelDecomposition:
         residual -= components[k].values
     wf = w * f.values
     for i in range(k - 1, -1, -1):
-        vals = bases[i] @ (bases[i].T @ wf)
+        B = proper_level_basis(X, k, i)
+        vals = B @ (B.T @ wf)
         components[i] = Cochain(X, k, vals)
         residual -= vals
     components[-1] = Cochain(X, k, residual)
     norms_sq = {i: norm_sq(X, g) for i, g in components.items()}
     return LevelDecomposition(components, norms_sq)
-
-
-def lift_to_zero(X, f0: Cochain):
-    """Vertex-cochain shadow of a proper 0-level k-cochain.
-
-    Solves ``multi_up(X, 0, k) g = f0`` by weighted least squares (minimum
-    norm) and returns ``(g, f_eq0)`` with ``f_eq0 = sqrt(up_down(X, 0, k))
-    g``.  The shadow has zero mean, the same norm as ``f0``, and its lifted
-    energy matches the downward energy of ``f0``.
-    """
-    k = f0.dim
-    if not 1 <= k <= X.top_dim:
-        raise ComplexError(f"lift_to_zero needs 1 <= dim <= {X.top_dim}")
-    wk = weight_vector(X, k)
-    nrm = float(np.sqrt(f0.values @ (wk * f0.values)))
-    mean = float(wk @ f0.values)
-    if abs(mean) > 1e-9 * max(1.0, nrm):
-        raise ComplexError("cochain is not 0-level (nonzero weighted mean)")
-    U = multi_up(X, 0, k).matrix
-    sw = np.sqrt(wk)
-    g_vals, *_ = np.linalg.lstsq(sw[:, None] * U, sw * f0.values, rcond=None)
-    resid = float(np.sqrt(((U @ g_vals - f0.values) ** 2 * wk).sum()))
-    if resid > 1e-6 * max(1.0, nrm):
-        raise ComplexError(
-            f"cochain is not a lift from the vertices (fit residual {resid:.3e})"
-        )
-    g = Cochain(X, 0, g_vals)
-    S = psd_sqrt(X, up_down(X, 0, k))
-    f_eq0 = S(g)
-    return g, f_eq0

@@ -40,7 +40,6 @@ __all__ = [
     "is_local_spectral_expander",
     "lambda2_skeleton",
     "link_lambda2",
-    "psd_sqrt",
     "selfadjoint_spectrum",
 ]
 
@@ -112,31 +111,14 @@ def _symmetrized(X, op: LinOp):
         )
     sq = np.sqrt(w)
     B = (sq[:, None] * op.matrix) / sq[None, :]
-    return (B + B.T) / 2.0, sq
+    return (B + B.T) / 2.0
 
 
 def selfadjoint_spectrum(X, op: LinOp) -> Spectrum:
     """All eigenvalues of a weighted-self-adjoint operator, descending."""
-    B, _ = _symmetrized(X, op)
+    B = _symmetrized(X, op)
     vals = np.linalg.eigvalsh(B)
     return Spectrum(vals[::-1].copy(), op.source_dim)
-
-
-def psd_sqrt(X, op: LinOp) -> LinOp:
-    """Square root of a PSD self-adjoint operator.
-
-    Shares the operator's eigenvectors with square-rooted eigenvalues;
-    eigenvalues in [-1e-6, 0) are treated as rounding and clamped to 0,
-    anything smaller is rejected.
-    """
-    B, sq = _symmetrized(X, op)
-    vals, vecs = np.linalg.eigh(B)
-    if vals.size and vals[0] < -1e-6:
-        raise ComplexError(f"operator is not PSD (eigenvalue {vals[0]:.3e})")
-    vals = np.clip(vals, 0.0, None)
-    Bs = (vecs * np.sqrt(vals)) @ vecs.T
-    mat = (Bs / sq[:, None]) * sq[None, :]
-    return LinOp(op.source_dim, op.target_dim, mat)
 
 
 def is_connected(X) -> bool:

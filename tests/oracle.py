@@ -17,6 +17,14 @@ draw their complexes from.  ``closure_scan`` and ``sub_scan`` are the dict
 closure and the dict subface lookup that the package's array closure and
 key lookup replaced; ``localize_scan`` and ``restrict_scan`` view a cochain
 in a link face by face, where the package gathers.
+
+The routes at the very end are built from package operators, as the other
+side of an identity the package states: ``nonlazy_from_iup`` recovers the
+non-lazy vertex walk from the i-fold up-down walk, ``constant_projection``
+is the down-up walk through the empty face, and ``level_projector`` is the
+dense projector whose differences give the proper level components.
+``lift_to_zero`` and its ``psd_sqrt`` build the vertex shadow of a 0-level
+cochain that the advantage argument runs through.
 """
 
 import math
@@ -532,3 +540,91 @@ def proper_decompose_complete(X, f):
     components[-1] = Cochain(X, k, residual)
     norms_sq = {i: norm_sq(X, g) for i, g in components.items()}
     return LevelDecomposition(components, norms_sq)
+
+
+def nonlazy_from_iup(X, i):
+    """The vertex walk recovered from the i-fold up-down operator:
+    ``((i+1)/i) * up_down(X, 0, i) - (1/i) * I`` for any ``1 <= i <= d``,
+    the second route to ``nonlazy(X, 0)``."""
+    from hdxwalk.cochain_ops import LinOp, up_down
+
+    if not 1 <= i <= X.top_dim:
+        raise ComplexError(f"nonlazy_from_iup needs 1 <= i <= {X.top_dim}, got {i}")
+    U = up_down(X, 0, i)
+    n = X.n_faces(0)
+    mat = ((i + 1) / i) * U.matrix - (1.0 / i) * np.eye(n)
+    return LinOp(0, 0, mat)
+
+
+def constant_projection(X, k):
+    """Projection of k-cochains onto constants, ``f -> <f, 1> * 1``: the
+    second route to ``down_up(X, k, k+1)``."""
+    from hdxwalk.cochain_ops import LinOp, weight_vector
+
+    w = weight_vector(X, k)
+    mat = np.tile(w, (len(w), 1))
+    return LinOp(k, k, mat)
+
+
+def level_projector(X, k, i):
+    """Matrix of the W-orthogonal projection onto the i-level space, the
+    dense ``B B^T W`` on ``level_space(X, k, i)``: the second route to the
+    components of ``proper_decompose``."""
+    from hdxwalk.cochain_ops import weight_vector
+    from hdxwalk.level_decomp import level_space
+
+    B = level_space(X, k, i).vectors
+    return B @ (B.T * weight_vector(X, k)[None, :])
+
+
+def psd_sqrt(X, op):
+    """Square root of a PSD self-adjoint operator.
+
+    Shares the operator's eigenvectors with square-rooted eigenvalues;
+    eigenvalues in [-1e-6, 0) are treated as rounding and clamped to 0,
+    anything smaller is rejected.
+    """
+    from hdxwalk.cochain_ops import LinOp, weight_vector
+    from hdxwalk.spectral import _symmetrized
+
+    B = _symmetrized(X, op)
+    sq = np.sqrt(weight_vector(X, op.source_dim))
+    vals, vecs = np.linalg.eigh(B)
+    if vals.size and vals[0] < -1e-6:
+        raise ComplexError(f"operator is not PSD (eigenvalue {vals[0]:.3e})")
+    vals = np.clip(vals, 0.0, None)
+    Bs = (vecs * np.sqrt(vals)) @ vecs.T
+    mat = (Bs / sq[:, None]) * sq[None, :]
+    return LinOp(op.source_dim, op.target_dim, mat)
+
+
+def lift_to_zero(X, f0):
+    """Vertex-cochain shadow of a proper 0-level k-cochain.
+
+    Solves ``multi_up(X, 0, k) g = f0`` by weighted least squares (minimum
+    norm) and returns ``(g, f_eq0)`` with ``f_eq0 = sqrt(up_down(X, 0, k))
+    g``.  The shadow has zero mean, the same norm as ``f0``, and its lifted
+    energy matches the downward energy of ``f0``.
+    """
+    from hdxwalk.cochain_ops import Cochain, multi_up, up_down, weight_vector
+
+    k = f0.dim
+    if not 1 <= k <= X.top_dim:
+        raise ComplexError(f"lift_to_zero needs 1 <= dim <= {X.top_dim}")
+    wk = weight_vector(X, k)
+    nrm = float(np.sqrt(f0.values @ (wk * f0.values)))
+    mean = float(wk @ f0.values)
+    if abs(mean) > 1e-9 * max(1.0, nrm):
+        raise ComplexError("cochain is not 0-level (nonzero weighted mean)")
+    U = multi_up(X, 0, k).matrix
+    sw = np.sqrt(wk)
+    g_vals, *_ = np.linalg.lstsq(sw[:, None] * U, sw * f0.values, rcond=None)
+    resid = float(np.sqrt(((U @ g_vals - f0.values) ** 2 * wk).sum()))
+    if resid > 1e-6 * max(1.0, nrm):
+        raise ComplexError(
+            f"cochain is not a lift from the vertices (fit residual {resid:.3e})"
+        )
+    g = Cochain(X, 0, g_vals)
+    S = psd_sqrt(X, up_down(X, 0, k))
+    f_eq0 = S(g)
+    return g, f_eq0

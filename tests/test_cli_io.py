@@ -219,9 +219,9 @@ def test_random_pure_gives_up_with_hypothesis_error():
     # with connected links on seed 1
     with pytest.raises(
         HypothesisError,
-        match=re.escape("random_pure(16,2,70,seed=1): no connected-link sample within 3 retries"),
+        match=re.escape("random_pure(16,2,70,seed=1): no connected-link sample within 500 retries"),
     ):
-        generate("random_pure", n=16, d=2, m=70, seed=1, retries=3)
+        generate("random_pure", n=16, d=2, m=70, seed=1)
 
 
 def test_generate_rejections():
@@ -359,6 +359,12 @@ def test_cli_exit_codes(tmp_path, c42_file):
     # usage: unreadable file
     r = run_cli("analyze", str(tmp_path / "missing.cx"))
     assert r.returncode == 2
+    # usage: a negative sample count, for a levelled theorem and for trickling
+    for theorem, samples in (("advantage", "-1"), ("trickling", "-5")):
+        r = run_cli("verify", c42_file, "--theorem", theorem, "--samples", samples)
+        assert r.returncode == 2, r.stdout
+        assert r.stderr.startswith("error:") and "--samples" in r.stderr
+        assert r.stdout == ""
     # usage: malformed file
     bad = tmp_path / "bad.cx"
     bad.write_text("dim 2\n0 1 2\n0 1 2\n")

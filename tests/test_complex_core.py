@@ -1,4 +1,7 @@
+import ast
+import importlib
 import math
+import pkgutil
 import re
 from itertools import combinations
 
@@ -8,13 +11,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracle
+import hdxwalk
 from hdxwalk import (
     RESTRICTION,
     Cochain,
     ComplexError,
     build_complex,
     canonical_face,
-    faces,
     generate,
     link_of,
     localize,
@@ -310,16 +313,16 @@ def test_skeleton_identity_and_zero(t3):
 
 
 def test_faces_order(t3, c42):
-    assert faces(t3, 1) == [(0, 1), (0, 2), (1, 2)]
-    assert faces(t3, -1) == [()]
-    assert faces(c42, 2) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    assert t3.faces(1) == [(0, 1), (0, 2), (1, 2)]
+    assert t3.faces(-1) == [()]
+    assert c42.faces(2) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
     for k in range(-1, c42.top_dim + 1):
-        lst = faces(c42, k)
+        lst = c42.faces(k)
         assert lst == sorted(lst)
         for pos, f in enumerate(lst):
             assert c42.face_index[f] == pos
     with pytest.raises(ComplexError):
-        faces(c42, 3)
+        c42.faces(3)
 
 
 def test_purity_and_closure_of_derived(all_fixtures):
@@ -466,3 +469,20 @@ def test_sub_lookup_raises_key_error_on_missing_face():
     assert np.array_equal(_sub(X, 1), oracle.sub_scan(X, 1))
     with pytest.raises(KeyError):
         _sub(X, 2)
+
+
+def test_exports_listed_in_module_all():
+    # every name a module lists in __all__ exists, and every name the
+    # package imports from a module is in that module's __all__
+    for info in pkgutil.iter_modules(hdxwalk.__path__):
+        module = importlib.import_module(f"hdxwalk.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, f"hdxwalk.{info.name}.__all__ lists missing names {missing}"
+    with open(hdxwalk.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        listed = importlib.import_module(f"hdxwalk.{node.module}").__all__
+        unlisted = [a.name for a in node.names if a.name not in listed]
+        assert not unlisted, f"hdxwalk exports {unlisted} not in {node.module}.__all__"

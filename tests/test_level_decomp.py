@@ -13,13 +13,14 @@ from hdxwalk import (
     RESTRICTION,
     build_complex,
     diff,
+    down_up,
     generate,
     inner_product,
     level_space,
-    lift_to_zero,
     link_of,
     multi_down,
     multi_up,
+    nonlazy,
     norm_sq,
     proper_decompose,
     proper_level_basis,
@@ -27,7 +28,7 @@ from hdxwalk import (
     weight_vector,
 )
 from hdxwalk import level_decomp
-from hdxwalk.level_decomp import level_projector, restriction_level_space
+from hdxwalk.level_decomp import restriction_level_space
 from hdxwalk.theorem_verify import random_mean_zero_cochain
 
 VIEW_TOL = 1e-12
@@ -127,10 +128,10 @@ def test_level_space_examples(t3, c42):
     fstar = Cochain.from_dict(
         c42, 1, {(0, 1): 1, (0, 2): -1, (0, 3): 0, (1, 2): 0, (1, 3): -1, (2, 3): 1}
     )
-    P1 = level_projector(c42, 1, 1)
+    P1 = oracle.level_projector(c42, 1, 1)
     assert np.max(np.abs(P1 @ fstar.values - fstar.values)) <= LEVEL_TOL
     # constants are excluded at level 0
-    P0 = level_projector(c42, 1, 0)
+    P0 = oracle.level_projector(c42, 1, 0)
     ones = np.ones(6)
     assert np.max(np.abs(P0 @ ones)) <= LEVEL_TOL
 
@@ -210,7 +211,7 @@ def test_proper_decompose_invariants(all_fixtures):
                     assert np.max(np.abs(C @ d.components[i].values)) <= LEVEL_TOL
                 # ... and orthogonal to the next level up
                 for i in range(0, k):
-                    Pnext = level_projector(X, k, i + 1)
+                    Pnext = oracle.level_projector(X, k, i + 1)
                     assert np.max(np.abs(Pnext @ d.components[i].values)) <= LEVEL_TOL
 
 
@@ -248,6 +249,32 @@ def test_proper_decompose_matches_complete_route_property(X, seed):
     # 8.1e-16 off the exact mass for the complete route at k = 0), so over
     # many draws their difference reaches 1.2e-15
     _assert_matches_complete_route(X, np.random.default_rng(seed), 2e-15)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(X=oracle.weighted_pure_complexes(), seed=st.integers(0, 2**32 - 1))
+def test_walk_identities_and_projector_components_property(X, seed):
+    # the package's single routes against the oracle's second routes on
+    # random weighted complexes: the vertex walk from every i-fold up-down
+    # walk, the down-up walk through the empty face, and each proper
+    # component as the difference of two dense level projectors
+    M = nonlazy(X, 0).matrix
+    for i in range(1, X.top_dim + 1):
+        assert np.allclose(oracle.nonlazy_from_iup(X, i).matrix, M, rtol=0.0, atol=1e-12)
+    rng = np.random.default_rng(seed)
+    for k in range(0, X.top_dim + 1):
+        P = oracle.constant_projection(X, k).matrix
+        assert np.allclose(down_up(X, k, k + 1).matrix, P, rtol=0.0, atol=1e-12)
+        f = _random_cochain(X, k, rng)
+        d = proper_decompose(X, f)
+        scale = max(1.0, np.sqrt(norm_sq(X, f)))
+        projected = [oracle.level_projector(X, k, i) @ f.values for i in range(k + 1)]
+        want = {i: projected[i] - (projected[i + 1] if i < k else 0.0) for i in range(k + 1)}
+        want[-1] = f.values - projected[0]
+        assert sorted(d.components) == sorted(want)
+        for i, values in want.items():
+            gap = Cochain(X, k, d.components[i].values - values)
+            assert np.sqrt(norm_sq(X, gap)) <= LEVEL_TOL * scale
 
 
 def test_proper_decompose_builds_no_complement(monkeypatch):
@@ -326,8 +353,6 @@ def test_localization_shifts_levels(all_fixtures):
 
 
 def test_restriction_level_spaces(c42, two_tri):
-    from hdxwalk import nonlazy
-
     B0 = restriction_level_space(c42, 0).vectors
     w = weight_vector(c42, 0)
     assert B0.shape[1] == 3
@@ -346,7 +371,7 @@ def test_restriction_level_spaces(c42, two_tri):
 def test_lift_to_zero_t3(t3):
     g0 = Cochain(t3, 0, np.array([1.0, -1.0, 0.0]))
     f0 = diff(t3, 0)(g0)
-    g, feq = lift_to_zero(t3, f0)
+    g, feq = oracle.lift_to_zero(t3, f0)
     assert np.allclose(feq.values, [0.5, -0.5, 0.0], atol=1e-9)
     assert norm_sq(t3, f0) == pytest.approx(1 / 6, abs=1e-12)
     assert norm_sq(t3, feq) == pytest.approx(1 / 6, abs=1e-9)
@@ -365,7 +390,7 @@ def test_lift_to_zero_properties(all_fixtures):
             f0 = multi_up(X, 0, k)(g0)
             if norm_sq(X, f0) < 1e-20:
                 continue
-            g, feq = lift_to_zero(X, f0)
+            g, feq = oracle.lift_to_zero(X, f0)
             assert abs(inner_product(X, feq, Cochain.ones(X, 0))) <= 1e-9
             assert abs(norm_sq(X, feq) - norm_sq(X, f0)) <= 1e-9
             lhs = norm_sq(X, multi_down(X, 0, k)(f0))
@@ -375,14 +400,14 @@ def test_lift_to_zero_properties(all_fixtures):
 
 def test_lift_to_zero_zero_and_rejections(t3, c42):
     zero = Cochain.zeros(t3, 1)
-    g, feq = lift_to_zero(t3, zero)
+    g, feq = oracle.lift_to_zero(t3, zero)
     assert np.allclose(g.values, 0.0, atol=1e-12)
     assert np.allclose(feq.values, 0.0, atol=1e-12)
     with pytest.raises(ComplexError, match="0-level"):
-        lift_to_zero(t3, Cochain.ones(t3, 1))
+        oracle.lift_to_zero(t3, Cochain.ones(t3, 1))
     # mean-zero but not in the image of the lift from the vertices
     fstar = Cochain.from_dict(
         c42, 1, {(0, 1): 1, (0, 2): -1, (0, 3): 0, (1, 2): 0, (1, 3): -1, (2, 3): 1}
     )
     with pytest.raises(ComplexError, match="residual"):
-        lift_to_zero(c42, fstar)
+        oracle.lift_to_zero(c42, fstar)

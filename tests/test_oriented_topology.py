@@ -14,7 +14,6 @@ from hdxwalk import (
     minimal_representative,
     norm_sq,
 )
-from hdxwalk.level_decomp import level_projector
 from hdxwalk.oriented_topology import OrientedCochain, perm_sign
 
 TOL = 1e-12
@@ -205,9 +204,9 @@ def test_balanced_centered_indicator_is_level(c42):
     C1 = oracle.level_constraint_matrix(c42, 1, 1)
     assert np.max(np.abs(C1 @ centered)) <= 1e-12
     # membership in the 0-level space (projection residual)
-    P0 = level_projector(c42, 1, 0)
+    P0 = oracle.level_projector(c42, 1, 0)
     assert np.max(np.abs(P0 @ centered - centered)) <= RES_TOL
-    P1 = level_projector(c42, 1, 1)
+    P1 = oracle.level_projector(c42, 1, 1)
     assert np.max(np.abs(P1 @ centered - centered)) <= RES_TOL
 
 

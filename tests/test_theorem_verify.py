@@ -30,7 +30,6 @@ from hdxwalk import (
     view,
     weight_vector,
 )
-from hdxwalk.cochain_ops import constant_projection
 from hdxwalk.level_decomp import LOCALIZATION, proper_level_basis
 from hdxwalk.theorem_verify import (
     levelled_dims,
@@ -288,7 +287,7 @@ def test_bootstrap_expectation_identity(all_fixtures):
             for v in X.faces(0):
                 link = link_of(X, v)
                 fv = view(LOCALIZATION, X, f, v)
-                const = constant_projection(link, k - 1)(fv)
+                const = oracle.constant_projection(link, k - 1)(fv)
                 lhs += X.weight[v] * norm_sq(link, const)
             rhs = norm_sq(X, multi_down(X, 0, k)(f))
             assert abs(lhs - rhs) <= 1e-12
