@@ -291,9 +291,22 @@ def generate(kind, **params):
     ``random_pure`` draws ``m`` distinct facets uniformly and resamples
     (``RANDOM_PURE_RETRIES`` times) until every link of dimension <= d-2
     has a connected 1-skeleton; identical seeds give identical complexes.
+    A parameter the kind does not take raises ComplexError.
     """
-    required = {"complete": ("n", "d"), "partite": ("parts",), "random_pure": ("n", "d", "m")}
-    for name in required.get(kind, ()):
+    # per kind, the required parameters and the optional ones
+    signature = {
+        "complete": (("n", "d"), ()),
+        "partite": (("parts",), ("d",)),
+        "random_pure": (("n", "d", "m"), ("seed",)),
+        "two_triangles": ((), ()),
+    }
+    if kind not in signature:
+        raise ComplexError(f"unknown generator kind {kind!r}")
+    required, optional = signature[kind]
+    unknown = sorted(set(params) - set(required + optional))
+    if unknown:
+        raise ComplexError(f"generate {kind} takes no parameter {', '.join(unknown)}")
+    for name in required:
         if params.get(name) is None:
             raise ComplexError(f"generate {kind} needs the parameter {name}")
     if kind == "complete":
@@ -330,6 +343,4 @@ def generate(kind, **params):
             f"random_pure({n},{d},{m},seed={seed}): no connected-link sample "
             f"within {RANDOM_PURE_RETRIES} retries"
         )
-    if kind == "two_triangles":
-        return build_complex([(0, 1, 2), (1, 2, 3)])
-    raise ComplexError(f"unknown generator kind {kind!r}")
+    return build_complex([(0, 1, 2), (1, 2, 3)])  # two_triangles

@@ -10,8 +10,9 @@ Every operator is materialized as a dense matrix (rows indexed by target
 faces, columns by source faces); the complexes here are desk scale, which
 keeps adjointness and spectrum checks exact to near machine precision.
 ``diff``, ``adjoint_diff`` and the non-lazy walk are written by one numpy
-scatter over the subface index array ``complex_core._sub``; the multi-step
-and up-down/down-up walks are products of those matrices.  Each operator
+scatter over the subface index array ``complex_core._sub``; each multi-step
+walk is one step composed with its cached walk one step shorter, and the
+up-down/down-up walks are products of those.  Each operator
 has this one route here; the loop-based entrywise tables and the second
 routes of walk identities that the tests compare them against live in
 ``tests/oracle.py``.  ``weight_vector`` is re-exported from complex_core.
@@ -149,7 +150,7 @@ def localize(X, f: Cochain, sigma) -> Cochain:
     """
     _same_space(X, f)
     sigma = canonical_face(sigma)
-    if sigma not in X.weight:
+    if sigma not in X:
         raise ComplexError(f"face {sigma} is not in the complex")
     i = len(sigma) - 1
     if i >= f.dim:
@@ -201,35 +202,31 @@ def adjoint_diff(X, k) -> LinOp:
 
 
 def multi_up(X, k, i) -> LinOp:
-    """Composition ``d_{k+i-1} ... d_k`` lifting k-cochains to (k+i)-cochains."""
+    """Composition ``d_{k+i-1} ... d_k`` lifting k-cochains to (k+i)-cochains:
+    ``d_{k+i-1}`` after the cached ``multi_up(X, k, i-1)``."""
     if i < 0 or not -1 <= k or k + i > X.top_dim:
         raise ComplexError(f"multi_up range violation: k={k}, i={i}, d={X.top_dim}")
     if i == 0:
         return _identity_op(X, k)
-
-    def build():
-        op = diff(X, k)
-        for j in range(k + 1, k + i):
-            op = _compose(diff(X, j), op)
-        return op
-
-    return _cached_op(X, ("multi_up", k, i), build)
+    if i == 1:
+        return diff(X, k)
+    return _cached_op(
+        X, ("multi_up", k, i), lambda: _compose(diff(X, k + i - 1), multi_up(X, k, i - 1))
+    )
 
 
 def multi_down(X, k, i) -> LinOp:
-    """Composition ``d*_k ... d*_{k+i-1}`` dropping (k+i)-cochains to k."""
+    """Composition ``d*_k ... d*_{k+i-1}`` dropping (k+i)-cochains to k:
+    ``d*_k`` after the cached ``multi_down(X, k+1, i-1)``."""
     if i < 0 or not -1 <= k or k + i > X.top_dim:
         raise ComplexError(f"multi_down range violation: k={k}, i={i}, d={X.top_dim}")
     if i == 0:
         return _identity_op(X, k)
-
-    def build():
-        op = adjoint_diff(X, k + i - 1)
-        for j in range(k + i - 2, k - 1, -1):
-            op = _compose(adjoint_diff(X, j), op)
-        return op
-
-    return _cached_op(X, ("multi_down", k, i), build)
+    if i == 1:
+        return adjoint_diff(X, k)
+    return _cached_op(
+        X, ("multi_down", k, i), lambda: _compose(adjoint_diff(X, k), multi_down(X, k + 1, i - 1))
+    )
 
 
 def up_down(X, k, i=1) -> LinOp:

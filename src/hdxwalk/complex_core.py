@@ -1,33 +1,24 @@
 """Pure weighted simplicial complexes.
 
 A pure ``d``-dimensional complex is a downward-closed family of faces in
-which every face sits inside some ``d``-dimensional face.  Faces are stored
-as ascending tuples of vertex ids, one lexicographically sorted list per
-dimension from -1 (the empty face) up to ``d``.  Facet weights are
-normalized to sum to 1 and propagated downward by averaged containment
+which every face sits inside some ``d``-dimensional face.  Facet weights
+are normalized to sum to 1 and propagated downward by averaged containment
 counts, so the weights of each dimension form a probability distribution.
 
-Instances are immutable after construction.  Derived data (links,
-operator matrices, spectra, level bases) is memoized on the instance
+A complex is stored once, as read-only arrays: its vertex ids, ascending
+(cache key ``("vertex_ids",)``), and for each dimension k = -1..d the
+k-faces as an (n_k, k+1) array of vertex ranks (positions among the ids),
+each row ascending and the rows in lexicographic order (``("rows", k)``),
+with their weights (``("weights", k)``).  The tuple lists ``X.faces(k)``
+and the ``weight`` and ``face_index`` dicts are views, built from the
+arrays when first asked for, to look up, name or write faces; the
+numerics read the arrays.  Everything derived is memoized on the instance
 through :func:`_cached_op`, without a lock.
 
-The tuple lists and the ``weight`` and ``face_index`` dicts are the public
-view; the numerics read int arrays.  A face is found by its integer key,
-(position of the face minus its last vertex among the faces one dimension
-down) * n_0 + (rank of its last vertex), which ascends with the canonical
-order and stays below n_(k-1) * n_0, whatever the vertex ids (cache key
-``("keys", k)``).  :func:`_closure` closes an (m, d+1) facet
-array level by level with these keys and takes the weights from one
-``bincount`` per level.  Downward incidence is one int array per
-dimension, ``_sub(X, k)``, the positions of each k-face's (k-1)-subfaces
-(cache key ``("sub", k)``); the closure leaves it cached, and any other
-complex (a link, a skeleton, one built from tuple lists) gets it by key
-lookup.  Operator matrices and link spectra are scattered from it.
-:meth:`PureComplex.validate` checks closure by building ``_sub`` and the
-weight recursion by pushing the facet weights down it, one dimension at a
-time.
-
-Links are read off the same arrays: the k-faces over a face sigma are the
+Faces are found by integer keys (:func:`_keys`), and downward incidence is
+one int array per dimension (:func:`_sub`), from which the operators and
+link spectra are scattered; :func:`_closure` builds both with the complex.
+Links are read off the rank rows: the k-faces over a face sigma are the
 rows of ``_rows(X, k)`` that hold every rank of sigma, found by one mask
 (:func:`_over`).  Removing sigma from the sets that contain it keeps
 their lexicographic order, since the least element of the symmetric
@@ -71,31 +62,55 @@ def canonical_face(vertices):
 
 
 class PureComplex:
-    """Pure weighted simplicial complex.
+    """Pure weighted simplicial complex, stored as the read-only arrays
+    ``vertex_ids``, ``rows[k]`` and ``weights[k]`` (see the module docstring).
 
     Not meant to be instantiated directly; use :func:`build_complex`,
     :func:`link_of` or :func:`skeleton_of`.
     """
 
-    __slots__ = ("top_dim", "faces_by_dim", "weight", "face_index", "_cache")
+    __slots__ = ("top_dim", "_cache")
 
-    def __init__(self, top_dim, faces_by_dim, weight):
+    def __init__(self, top_dim, vertex_ids, rows, weights):
         self.top_dim = top_dim
-        self.faces_by_dim = faces_by_dim
-        self.weight = weight
-        self.face_index = {}
+        self._cache = {("vertex_ids",): vertex_ids}
         for k in range(-1, top_dim + 1):
-            self.face_index.update(zip(faces_by_dim[k], range(len(faces_by_dim[k]))))
-        self._cache = {}
+            self._cache["rows", k], self._cache["weights", k] = rows[k], weights[k]
+        for array in self._cache.values():
+            array.flags.writeable = False
 
     def faces(self, k):
-        """Faces of dimension ``k`` in canonical (lexicographic) order."""
-        if not -1 <= k <= self.top_dim:
-            raise ComplexError(f"dimension {k} out of range -1..{self.top_dim}")
-        return self.faces_by_dim[k]
+        """Faces of dimension ``k`` in canonical (lexicographic) order, as
+        tuples of vertex ids; a view cached under ``("faces", k)``."""
+        ids, rows = _vertex_ids(self), _rows(self, k)
+        return _cached_op(self, ("faces", k), lambda: [*map(tuple, ids[rows].tolist())])
 
     def n_faces(self, k):
-        return len(self.faces(k))
+        return len(_rows(self, k))
+
+    @property
+    def faces_by_dim(self):
+        return {k: self.faces(k) for k in range(-1, self.top_dim + 1)}
+
+    @property
+    def facets(self):
+        return self.faces(self.top_dim)
+
+    def _by_face(self, name, values):
+        """The view cached under ``(name,)``: a dict from every face, one
+        dimension after another, to ``values(k)``."""
+        pairs = (zip(self.faces(k), values(k)) for k in range(-1, self.top_dim + 1))
+        return _cached_op(self, (name,), lambda: dict(chain.from_iterable(pairs)))
+
+    @property
+    def weight(self):
+        """Face -> weight; a view cached under ``("weight",)``."""
+        return self._by_face("weight", lambda k: weight_vector(self, k).tolist())
+
+    @property
+    def face_index(self):
+        """Face -> position in ``faces(k)``; a view cached under ``("face_index",)``."""
+        return self._by_face("face_index", lambda k: range(self.n_faces(k)))
 
     def __contains__(self, face):
         return tuple(face) in self.weight
@@ -106,15 +121,13 @@ class PureComplex:
         except KeyError:
             raise ComplexError(f"face {tuple(face)} is not in the complex") from None
 
-    @property
-    def facets(self):
-        return self.faces_by_dim[self.top_dim]
-
     def validate(self):
-        """Check closure, purity, weight normalization and the recursion.
+        """Check order, closure, purity, weight normalization and the recursion.
 
-        Closure holds when the subface index :func:`_sub` of every
-        dimension builds.  The facet weights are then pushed down it,
+        The rows of each dimension must be in lexicographic order, each row
+        strictly ascending, and the weights finite and positive.  Closure
+        holds when the subface index :func:`_sub` of every dimension builds.
+        The facet weights are then pushed down it,
         ``e(s) = (sum of e(t) over the (k+1)-faces t over s) / (k+2)``;
         in a pure complex, skeletons included, that gives back ``w(s)``.
         A face with no pushed mass lies under no facet (purity), and one
@@ -122,21 +135,18 @@ class PureComplex:
         ComplexError on the first violated invariant.
         """
         d = self.top_dim
-        stored = {}
         for k in range(-1, d + 1):
-            lst = self.faces_by_dim[k]
-            if sorted(lst) != list(lst):
-                raise ComplexError(f"faces of dimension {k} are not sorted")
-            misfiled = np.fromiter(map(len, lst), np.intp, len(lst)) != k + 1
-            if misfiled.any():
-                raise ComplexError(f"face {lst[np.argmax(misfiled)]} filed under dimension {k}")
-            rows = _id_array(lst, len(lst), k + 1)
-            w = stored[k] = np.fromiter(map(self.weight.__getitem__, lst), float, len(lst))
+            rows, w = _rows(self, k), weight_vector(self, k)
+            if k >= 0:
+                # each row against the next: their first differing rank must rise
+                step = np.diff(rows, axis=0)
+                if (step[np.arange(len(step)), (step != 0).argmax(axis=1)] < 0).any():
+                    raise ComplexError(f"faces of dimension {k} are not sorted")
             # per face, the first of these checks it fails is reported
             faults = np.stack([(rows[:, 1:] <= rows[:, :-1]).any(axis=1), w <= 0, ~np.isfinite(w)])
             if faults.any():
                 pos = np.argmax(faults.any(axis=0))
-                face = lst[pos]
+                face = _face_at(self, k, pos)
                 raise ComplexError(
                     (
                         f"face {face} is not strictly ascending",
@@ -150,30 +160,29 @@ class PureComplex:
             except KeyError:
                 sub, face = next(
                     (sub, face)
-                    for face in self.faces_by_dim[k]
+                    for face in self.faces(k)
                     for sub in combinations(face, k)
                     if sub not in self.face_index
                 )
                 raise ComplexError(f"closure violated: {sub} missing under {face}") from None
-        if abs(self.weight[()] - 1.0) > WEIGHT_TOL:
+        if abs(weight_vector(self, -1)[0] - 1.0) > WEIGHT_TOL:
             raise ComplexError("weight of the empty face is not 1")
-        pushed = {d: stored[d]}
+        pushed = {d: weight_vector(self, d)}
         for k in range(d - 1, -2, -1):
             mass = np.repeat(pushed[k + 1], k + 2)
-            pushed[k] = np.bincount(_sub(self, k + 1).ravel(), mass, len(stored[k])) / (k + 2)
+            pushed[k] = np.bincount(_sub(self, k + 1).ravel(), mass, self.n_faces(k)) / (k + 2)
         for k in range(-1, d):
-            lst = self.faces_by_dim[k]
             if not pushed[k].all():
-                raise ComplexError(f"purity violated at {lst[np.argmin(pushed[k])]}")
-            total = sum(stored[k].tolist())
+                raise ComplexError(f"purity violated at {_face_at(self, k, np.argmin(pushed[k]))}")
+            total = sum(weight_vector(self, k).tolist())
             if abs(total - 1.0) > WEIGHT_TOL:
                 raise ComplexError(f"weights of dimension {k} sum to {total!r}, not 1")
-        if abs(sum(stored[d].tolist()) - 1.0) > WEIGHT_TOL:
+        if abs(sum(weight_vector(self, d).tolist()) - 1.0) > WEIGHT_TOL:
             raise ComplexError("facet weights do not sum to 1")
         for k in range(-1, d):
-            off = np.abs(pushed[k] - stored[k]) > WEIGHT_TOL
+            off = np.abs(pushed[k] - weight_vector(self, k)) > WEIGHT_TOL
             if off.any():
-                face = self.faces_by_dim[k][np.argmax(off)]
+                face = _face_at(self, k, np.argmax(off))
                 raise ComplexError(f"weight recursion violated at {face}")
         return True
 
@@ -181,10 +190,11 @@ class PureComplex:
         """Same faces and the same weights up to ``tol``."""
         if self.top_dim != other.top_dim:
             return False
-        for k in range(-1, self.top_dim + 1):
-            if self.faces_by_dim[k] != other.faces_by_dim[k]:
-                return False
-        return all(abs(w - other.weight[f]) <= tol for f, w in self.weight.items())
+        return all(
+            self.faces(k) == other.faces(k)
+            and (np.abs(weight_vector(self, k) - weight_vector(other, k)) <= tol).all()
+            for k in range(-1, self.top_dim + 1)
+        )
 
     def __repr__(self):
         counts = ",".join(str(self.n_faces(k)) for k in range(self.top_dim + 1))
@@ -278,8 +288,8 @@ def _closure(facets, facet_weights):
     subset's key up among them gives its face.  The weights of a level are
     one ``bincount`` over those faces: the facet weights over each face
     added in facet order from 0.0, as a dict closure adds them.  The
-    subface arrays (:func:`_sub`), face keys, vertex ids and
-    weights (:func:`weight_vector`) fall out of the same pass, cached.
+    stored arrays (vertex ids, rank rows, weights), the subface arrays
+    (:func:`_sub`) and the face keys all fall out of the same pass.
     """
     m, width = facets.shape
     d = width - 1
@@ -291,13 +301,12 @@ def _closure(facets, facet_weights):
     ids = _distinct(facets.ravel())[0]
     ranks = np.searchsorted(ids, facets)
     n0 = len(ids)
-    labels = ids.tolist()  # one int object per vertex, shared by the face tuples
 
     combos = [()]  # the column subsets of the previous level, in order
     inv = np.zeros((m, 1), np.intp)  # face of every facet's previous-level subset
-    faces_by_dim = {-1: [()]}
+    rows = {-1: np.zeros((1, 0), np.intp)}
     weights = {-1: np.bincount(inv.ravel(), top, 1)}
-    cached = {("vertex_ids",): ids, ("keys", -1): np.zeros(1, np.intp)}
+    cached = {}
     for k in range(d + 1):
         index = {c: i for i, c in enumerate(combos)}
         combos = list(combinations(range(width), k + 1))
@@ -308,35 +317,34 @@ def _closure(facets, facet_weights):
         keys, rep = _distinct(key)
         subset_face = np.searchsorted(keys, key)
         f, c = np.divmod(rep, len(combos))
-        rows = ranks[f[:, None], cols[c]]
+        rows[k] = ranks[f[:, None], cols[c]]
         cached[("keys", k)] = keys
         cached[("sub", k)] = inv[f[:, None], drop[c]]
         over = np.bincount(subset_face, np.repeat(top, len(combos)), len(keys))
         weights[k] = over / math.comb(width, k + 1)
-        faces_by_dim[k] = _as_tuples(rows, labels)
         inv = subset_face.reshape(m, len(combos))
-    if len(faces_by_dim[d]) < m:
+    if len(rows[d]) < m:
         raise ComplexError("duplicate facet")
     if min(w.min() for w in weights.values()) < sys.float_info.min:
         # the facet weights overflowed when summed, or span so many decades
         # that a normalized weight underflowed
         raise ComplexError("facet weights out of range: a weight is not a normal float")
-    weight = {}
-    for k, w in weights.items():
-        weight.update(zip(faces_by_dim[k], w.tolist()))
-        cached[("weights", k)] = w
-    X = PureComplex(d, faces_by_dim, weight)
-    for key, value in cached.items():
-        _cached_op(X, key, lambda: value)
+    X = PureComplex(d, ids, rows, weights)
+    X._cache.update(cached)
     return X
 
 
+def _stored(X, name, k):
+    """The stored array ``name`` ("rows" or "weights") of dimension ``k``."""
+    if not -1 <= k <= X.top_dim:
+        raise ComplexError(f"dimension {k} out of range -1..{X.top_dim}")
+    return X._cache[(name, k)]
+
+
 def weight_vector(X, k) -> np.ndarray:
-    """Face weights of dimension ``k`` in canonical order (sums to 1).
-    Cached under ``("weights", k)``, where :func:`_closure` leaves its own."""
-    return _cached_op(
-        X, ("weights", k), lambda: np.array([X.weight[f] for f in X.faces(k)])
-    )
+    """Face weights of dimension ``k`` in canonical order (sums to 1): the
+    read-only array stored under ``("weights", k)``."""
+    return _stored(X, "weights", k)
 
 
 def _cached_op(X, key, builder):
@@ -357,44 +365,39 @@ def _locate(table, values):
 
 
 def _vertex_ids(X):
-    """The vertex ids of ``X`` in canonical order as an int array; a vertex's
-    rank is its position here.  Cached under ``("vertex_ids",)``."""
-    return _cached_op(
-        X, ("vertex_ids",), lambda: _id_array(X.faces_by_dim[0], X.n_faces(0), 1).ravel()
-    )
+    """The vertex ids of ``X`` in ascending order, an int (or object) array
+    stored under ``("vertex_ids",)``; a vertex's rank is its position here."""
+    return X._cache[("vertex_ids",)]
 
 
 def _rows(X, k):
-    """``X.faces(k)`` as an (n_k, k+1) array of vertex ranks; KeyError when
-    a face has a vertex that is not a 0-face.  Cached under ``("rows", k)``."""
+    """``X.faces(k)`` as the (n_k, k+1) array of vertex ranks stored under
+    ``("rows", k)``."""
+    return _stored(X, "rows", k)
 
-    def build():
-        ids = _id_array(X.faces_by_dim[k], X.n_faces(k), k + 1)
-        return _locate(_vertex_ids(X), ids)
 
-    return _cached_op(X, ("rows", k), build)
+def _face_at(X, k, pos):
+    """The ``pos``-th k-face of ``X`` as a tuple of vertex ids, read off the
+    arrays, for messages and reports that name a single face."""
+    return tuple(_vertex_ids(X)[_rows(X, k)[pos]].tolist())
 
 
 def _keys(X, k):
-    """The integer keys of ``X.faces(k)``, ascending: (position of the face
-    minus its last vertex in ``X.faces(k-1)``) * n_0 + (rank of its last
-    vertex), and 0 for the empty face.  Cached under ``("keys", k)``."""
-
-    def build():
-        if k == -1:
-            return np.zeros(X.n_faces(-1), np.intp)
-        return _sub(X, k)[:, k] * X.n_faces(0) + _rows(X, k)[:, k]
-
-    return _cached_op(X, ("keys", k), build)
+    """The integer keys of ``X.faces(k)``, k >= 0, ascending: (position of
+    the face minus its last vertex in ``X.faces(k-1)``) * (number of vertex
+    ids) + (rank of its last vertex).  Cached under ``("keys", k)``."""
+    return _cached_op(
+        X, ("keys", k), lambda: _sub(X, k)[:, k] * len(_vertex_ids(X)) + _rows(X, k)[:, k]
+    )
 
 
 def _find(X, rows):
     """Positions in ``X.faces(j)`` of the faces given as an (N, j+1) array of
     ascending vertex ranks, found through the keys of their prefixes;
     KeyError when one is not a face."""
-    pos = _locate(_keys(X, -1), np.zeros(len(rows), np.intp))
+    pos = np.zeros(len(rows), np.intp)  # the empty face
     for j in range(rows.shape[1]):
-        pos = _locate(_keys(X, j), pos * X.n_faces(0) + rows[:, j])
+        pos = _locate(_keys(X, j), pos * len(_vertex_ids(X)) + rows[:, j])
     return pos
 
 
@@ -423,20 +426,15 @@ def _sub(X, k):
 def _over(X, sigma, k):
     """The k-faces of ``X`` over the face ``sigma``: their positions in
     ``X.faces(k)``, ascending, and their vertex ranks less sigma's, as an
-    array of k - dim(sigma) columns."""
-    member = np.zeros(X.n_faces(0), bool)
-    member[[X.face_index[(v,)] for v in sigma]] = True
+    array of k - dim(sigma) columns; KeyError when a vertex of sigma is not
+    a vertex id of ``X``."""
+    ids = _vertex_ids(X)
+    member = np.zeros(len(ids), bool)
+    member[_locate(ids, _id_array(sigma, len(sigma), 1).ravel())] = True
     rows = _rows(X, k)
     hit = member[rows]
     pos = np.flatnonzero(hit.sum(axis=1) == len(sigma))
     return pos, rows[pos][~hit[pos]].reshape(len(pos), k + 1 - len(sigma))
-
-
-def _as_tuples(rows, labels):
-    """The rows of an array of vertex ranks as tuples of the ids ``labels``."""
-    if not rows.shape[1]:
-        return [()] * len(rows)
-    return list(zip(*(map(labels.__getitem__, col) for col in rows.T.tolist())))
 
 
 def link_of(X, sigma):
@@ -445,10 +443,11 @@ def link_of(X, sigma):
     Weights are induced: a ``j``-face ``t`` of the link of an ``i``-face
     weighs ``w(t | sigma) / (C(i+j+2, i+1) * w(sigma))``.  The link of the
     empty face is the complex itself.  The faces ``t`` over ``sigma`` come
-    from one mask over the rank rows of each dimension (:func:`_over`).
+    from one mask over the rank rows of each dimension (:func:`_over`); the
+    link ranks its vertices among those over sigma.
     """
     sigma = canonical_face(sigma)
-    if sigma not in X.weight:
+    if sigma not in X:
         raise ComplexError(f"face {sigma} is not in the complex")
     if sigma == ():
         return X
@@ -458,15 +457,14 @@ def link_of(X, sigma):
 
     def build():
         d_link = X.top_dim - i - 1
-        labels = _vertex_ids(X).tolist()
-        faces_by_dim = {}
-        weight = {}
+        w_sigma = weight_vector(X, i)[_over(X, sigma, i)[0][0]]  # the one i-face over sigma
+        verts = _over(X, sigma, i + 1)[1].ravel()  # ascending ranks in X
+        rows, weights = {}, {}
         for j in range(-1, d_link + 1):
             pos, rest = _over(X, sigma, i + j + 1)
-            w = weight_vector(X, i + j + 1)[pos] / (math.comb(i + j + 2, i + 1) * X.weight[sigma])
-            faces_by_dim[j] = _as_tuples(rest, labels)
-            weight.update(zip(faces_by_dim[j], w.tolist()))
-        return PureComplex(d_link, faces_by_dim, weight)
+            rows[j] = np.searchsorted(verts, rest)
+            weights[j] = weight_vector(X, i + j + 1)[pos] / (math.comb(i + j + 2, i + 1) * w_sigma)
+        return PureComplex(d_link, _vertex_ids(X)[verts], rows, weights)
 
     return _cached_op(X, ("link", sigma), build)
 
@@ -474,16 +472,15 @@ def link_of(X, sigma):
 def skeleton_of(X, i):
     """Faces of dimension at most ``i``, keeping the original weights.
 
-    Weights are copied, not recomputed.  They still satisfy the recursion
-    from the skeleton's own top faces: in a pure complex the i-faces over a
+    The skeleton shares the arrays of ``X``.  Its weights still satisfy the
+    recursion from its own top faces: in a pure complex the i-faces over a
     k-face carry ``C(i+1, k+1)`` times its weight.
     """
     if not 0 <= i <= X.top_dim:
         raise ComplexError(f"skeleton dimension {i} out of range 0..{X.top_dim}")
     if i == X.top_dim:
         return X
-    faces_by_dim = {k: list(X.faces_by_dim[k]) for k in range(-1, i + 1)}
-    weight = {f: X.weight[f] for k in range(-1, i + 1) for f in faces_by_dim[k]}
-    return PureComplex(i, faces_by_dim, weight)
-
-
+    dims = range(-1, i + 1)
+    return PureComplex(
+        i, _vertex_ids(X), {k: _rows(X, k) for k in dims}, {k: weight_vector(X, k) for k in dims}
+    )

@@ -33,7 +33,6 @@ from .cochain_ops import (
     Cochain,
     localize,
     multi_up,
-    nonlazy,
     norm_sq,
     weight_vector,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "level_space",
     "proper_decompose",
     "proper_level_basis",
-    "restriction_level_space",
     "view",
 ]
 
@@ -56,7 +54,7 @@ def _restrict(X, f: Cochain, sigma) -> Cochain:
     """Restriction ``f|_sigma(t) = f(t)`` on the link of ``sigma``; the
     dimension does not change."""
     sigma = canonical_face(sigma)
-    if sigma not in X.weight:
+    if sigma not in X:
         raise ComplexError(f"face {sigma} is not in the complex")
     i = len(sigma) - 1
     if f.dim + i + 1 > X.top_dim:
@@ -165,19 +163,6 @@ def level_space(X, k, i) -> LevelBasis:
     if not 0 <= i <= k <= X.top_dim:
         raise ComplexError(f"level_space needs 0 <= i <= k <= {X.top_dim}")
     return LevelBasis(k, i, np.hstack([proper_level_basis(X, k, j) for j in range(i, k + 1)]))
-
-
-def restriction_level_space(X, i) -> LevelBasis:
-    """i-level vertex cochains under restriction (k = 0 only; this is all
-    the trickling-down argument needs).  Level 0 is the mean-zero space,
-    level 1 the kernel of the non-lazy vertex walk, the W-complement of its
-    range."""
-    if i not in (0, 1):
-        raise ComplexError("restriction level spaces are implemented for i in {0, 1}")
-    s = np.sqrt(weight_vector(X, 0))[:, None]
-    A = s if i == 0 else s * nonlazy(X, 0).matrix
-    Q = _range_basis(A, np.zeros((len(s), 0)))
-    return LevelBasis(0, i, _complement(Q) / s)
 
 
 def proper_level_basis(X, k, i) -> np.ndarray:

@@ -168,7 +168,7 @@ def balanced_check(X, S, i) -> BalanceReport:
     if any(len(t) != k + 1 for t in S):
         raise ComplexError("faces in S have mixed dimensions")
     for t in S:
-        if t not in X.weight or len(t) - 1 != k:
+        if t not in X or len(t) - 1 != k:
             raise ComplexError(f"face {t} is not a {k}-face of the complex")
     if not -1 <= i < k:
         raise ComplexError(f"balance level must satisfy -1 <= i < {k}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex_core import ComplexError, _cached_op, _sub
+from .complex_core import ComplexError, _cached_op, _face_at, _sub
 from .cochain_ops import LinOp, weight_vector
 
 __all__ = [
@@ -221,7 +221,7 @@ def link_lambda2(X, j) -> np.ndarray:
     def build():
         counts, starts, u, v, vals, bad = _link_graph(X, j)
         if bad is not None:
-            raise HypothesisError(f"link of {X.faces(j)[bad]} has a disconnected 1-skeleton")
+            raise HypothesisError(f"link of {_face_at(X, j, bad)} has a disconnected 1-skeleton")
         face = np.repeat(np.arange(len(counts)), counts)[u]
         lu, lv = u - starts[face], v - starts[face]
         lam = np.empty(len(counts))
@@ -269,7 +269,7 @@ def is_local_spectral_expander(X, lam) -> ExpanderReport:
         pos = int(np.argmax(vals))
         if vals[pos] > worst_value:
             worst_value = float(vals[pos])
-            worst_face = X.faces(j)[pos]
+            worst_face = _face_at(X, j, pos)
     return ExpanderReport(
         passed=bool(worst_value <= lam + SPECTRAL_TOL),
         worst_face=worst_face,

@@ -89,11 +89,12 @@ class LambdaTable:
         return {i: self.values[(i, k)] for i in range(0, k + 1)}
 
 
-def lambda_table(profile, max_k) -> LambdaTable:
-    """Fill the closed form for all 0 <= i <= k <= max_k."""
+def lambda_table(profile) -> LambdaTable:
+    """Fill the closed form for all 0 <= i <= k <= 1 + the profile's top
+    dimension, which is k <= d-1 for the profile of a d-complex."""
     gamma = dict(profile.gamma)
     values = {}
-    for k in range(0, max_k + 1):
+    for k in range(0, max(profile.dims()) + 2):
         for i in range(0, k + 1):
             prod = 1.0
             for j in range(i - 1, k):
@@ -165,9 +166,11 @@ def check_block(X, theorem, k, F) -> BlockReport:
 
     Weighted norms and means are column reductions; the level masses are
     ``|B_i^T W F|^2`` per column for the W-orthonormal proper bases
-    ``B_i``, the same numbers :func:`proper_decompose` reports as
-    ``norms_sq``; the quadratic form is one product with the walk.  Every
-    column must be W-orthogonal to the constants.
+    ``B_i``.  They equal the ``norms_sq`` of :func:`proper_decompose`, the
+    squared W-norms of its components, only up to rounding (on
+    complete(9,3), k = 0..2, they differ by up to 5.6e-16).  The quadratic
+    form is one product with the walk.  Every column must be W-orthogonal
+    to the constants.
     """
     dims = levelled_dims(X, theorem)
     if k not in dims:
@@ -191,7 +194,7 @@ def check_block(X, theorem, k, F) -> BlockReport:
         coeff = 1.0 - (k / (k + 1)) * (1.0 - gamma)
         return BlockReport(lhs, coeff * nsq, {0: (coeff, nsq)}, {"gamma": gamma})
 
-    table = lambda_table(gamma_profile(X), X.top_dim - 1)
+    table = lambda_table(gamma_profile(X))
     masses = {}
     for i in range(-1, k + 1):
         C = proper_level_basis(X, k, i).T @ WF
@@ -296,7 +299,7 @@ def bootstrap_certificate(X, k) -> BootstrapCertificate:
     if not 1 <= k <= X.top_dim - 1:
         raise ComplexError(f"bootstrap_certificate needs 1 <= k < {X.top_dim}")
     r = k - 1
-    table = lambda_table(gamma_profile(X), X.top_dim - 1)
+    table = lambda_table(gamma_profile(X))
     # the link of tau in link(v) is the link of tau + v in X, so gamma_j of
     # link(v) is the worst link_lambda2(X, j+1) over the (j+1)-faces at v
     dims = range(-1, X.top_dim - 2)
@@ -304,7 +307,7 @@ def bootstrap_certificate(X, k) -> BootstrapCertificate:
     for row, j in zip(gamma, dims):
         np.maximum.at(row, _rows(X, j + 1), link_lambda2(X, j + 1)[:, None])
     link_tables = {
-        v: lambda_table(GammaProfile(dict(zip(dims, col))), X.top_dim - 2)
+        v: lambda_table(GammaProfile(dict(zip(dims, col))))
         for v, col in zip(X.faces(0), gamma.T.tolist())
     }
 

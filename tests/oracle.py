@@ -13,7 +13,10 @@ takes one eigenvalue of the vertex up-down walk.
 every level's basis built, the top level from one complete QR, where the
 package takes the top level as a residual.
 ``weighted_pure_complexes`` is the hypothesis strategy the property tests
-draw their complexes from.  ``closure_scan`` and ``sub_scan`` are the dict
+draw their complexes from.  ``complex_from_faces`` stores a complex given
+as tuple lists and a weight dict, unchecked, which the library never
+builds from; the broken complexes of the ``validate`` tests and the scan
+routes below go through it.  ``closure_scan`` and ``sub_scan`` are the dict
 closure and the dict subface lookup that the package's array closure and
 key lookup replaced; ``localize_scan`` and ``restrict_scan`` view a cochain
 in a link face by face, where the package gathers.
@@ -24,7 +27,9 @@ non-lazy vertex walk from the i-fold up-down walk, ``constant_projection``
 is the down-up walk through the empty face, and ``level_projector`` is the
 dense projector whose differences give the proper level components.
 ``lift_to_zero`` and its ``psd_sqrt`` build the vertex shadow of a 0-level
-cochain that the advantage argument runs through.
+cochain that the advantage argument runs through, and
+``restriction_level_space`` the level spaces of vertex cochains under
+restriction, which no certificate reads.
 """
 
 import math
@@ -37,9 +42,26 @@ from hdxwalk.complex_core import (
     WEIGHT_TOL,
     ComplexError,
     PureComplex,
+    _id_array,
     build_complex,
     canonical_face,
 )
+
+
+def complex_from_faces(d, faces_by_dim, weight):
+    """The ``PureComplex`` stored as the face lists ``faces_by_dim[k]``, in
+    their given order, and the weights ``weight[face]``, unchecked.  Every
+    id that any face uses is ranked, so a face list that breaks closure,
+    order or the recursion still breaks it for ``validate``."""
+    ids = sorted({v for k in range(-1, d + 1) for face in faces_by_dim[k] for v in face})
+    rank = {v: r for r, v in enumerate(ids)}
+    rows, weights = {}, {}
+    for k in range(-1, d + 1):
+        lst = faces_by_dim[k]
+        ranks = [rank[v] for face in lst for v in face]
+        rows[k] = np.array(ranks, dtype=np.intp).reshape(len(lst), k + 1)
+        weights[k] = np.array([weight[face] for face in lst], dtype=float)
+    return PureComplex(d, _id_array(ids, len(ids), 1).ravel(), rows, weights)
 
 
 @st.composite
@@ -106,7 +128,7 @@ def closure_scan(facets, facet_weights=None):
         faces_by_dim[k] = sorted(over)
         for face in faces_by_dim[k]:
             weight[face] = over[face] / denom
-    return PureComplex(d, faces_by_dim, weight)
+    return complex_from_faces(d, faces_by_dim, weight)
 
 
 def sub_scan(X, k):
@@ -149,7 +171,7 @@ def link_scan(X, sigma):
                 lst.append(rho)
                 weight[rho] = X.weight[tau] / denom
         faces_by_dim[j] = sorted(lst)
-    return PureComplex(d_link, faces_by_dim, weight)
+    return complex_from_faces(d_link, faces_by_dim, weight)
 
 
 def localize_scan(X, f, sigma):
@@ -188,8 +210,6 @@ def validate_scan(X, tol=WEIGHT_TOL):
         if sorted(lst) != list(lst):
             raise ComplexError(f"faces of dimension {k} are not sorted")
         for face in lst:
-            if len(face) != k + 1:
-                raise ComplexError(f"face {face} filed under dimension {k}")
             if X.weight[face] <= 0:
                 raise ComplexError(f"non-positive weight on {face}")
             if k >= 0:
@@ -488,7 +508,7 @@ def bootstrap_condition1_dense(X, k):
     from hdxwalk.spectral import gamma_profile
     from hdxwalk.theorem_verify import lambda_table
 
-    table = lambda_table(gamma_profile(X), X.top_dim - 1)
+    table = lambda_table(gamma_profile(X))
     lam0 = table.value(0, k)
     lam1 = table.value(1, k)
     D = multi_down(X, 0, k).matrix
@@ -628,3 +648,18 @@ def lift_to_zero(X, f0):
     S = psd_sqrt(X, up_down(X, 0, k))
     f_eq0 = S(g)
     return g, f_eq0
+
+
+def restriction_level_space(X, i):
+    """i-level vertex cochains under restriction (k = 0 only).  Level 0 is
+    the mean-zero space, level 1 the kernel of the non-lazy vertex walk, the
+    W-complement of its range."""
+    from hdxwalk.cochain_ops import nonlazy, weight_vector
+    from hdxwalk.level_decomp import LevelBasis, _complement, _range_basis
+
+    if i not in (0, 1):
+        raise ComplexError("restriction level spaces are implemented for i in {0, 1}")
+    s = np.sqrt(weight_vector(X, 0))[:, None]
+    A = s if i == 0 else s * nonlazy(X, 0).matrix
+    Q = _range_basis(A, np.zeros((len(s), 0)))
+    return LevelBasis(0, i, _complement(Q) / s)

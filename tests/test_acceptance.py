@@ -227,7 +227,7 @@ def test_criterion_7_alev_lau_dominance(all_fixtures, c42):
                     rep = alev_lau_check(X, k, f)
                     assert rep.details["dominance_gap"] >= -SLACK
         spec = selfadjoint_spectrum(c42, nonlazy(c42, 1))
-        coeff = lambda_table(gamma_profile(c42), 1).value(0, 1)
+        coeff = lambda_table(gamma_profile(c42)).value(0, 1)
         assert abs(spec.eigenvalues[1] - coeff) <= SLACK
         assert abs(coeff) <= SLACK
 

@@ -233,6 +233,19 @@ def test_generate_rejections():
         generate("nonsense")
 
 
+def test_generate_rejects_unknown_parameters():
+    # a misspelt seed is an error, not seed 0
+    with pytest.raises(ComplexError, match="generate random_pure takes no parameter sed"):
+        generate("random_pure", n=7, d=2, m=12, seed=1, sed=4)
+    with pytest.raises(ComplexError, match="generate complete takes no parameter m, seed"):
+        generate("complete", n=4, d=2, m=3, seed=1)
+    with pytest.raises(ComplexError, match="generate two_triangles takes no parameter n"):
+        generate("two_triangles", n=4)
+    r = run_cli("generate", "complete", "--n", "4", "--d", "2", "--seed", "1")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error:") and "no parameter seed" in r.stderr
+
+
 # ---------------------------------------------------------------- CLI
 
 

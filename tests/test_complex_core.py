@@ -21,11 +21,14 @@ from hdxwalk import (
     generate,
     link_of,
     localize,
+    parse_complex,
     skeleton_of,
     view,
     weight_vector,
+    write_complex,
 )
-from hdxwalk.complex_core import PureComplex, _sub
+from hdxwalk.complex_core import _rows, _sub, _vertex_ids
+from hdxwalk.theorem_verify import check_block, random_mean_zero_block
 
 TOL = 1e-12
 
@@ -95,7 +98,7 @@ def _two_triangles_with(change):
     faces_by_dim = {k: list(lst) for k, lst in X.faces_by_dim.items()}
     weight = dict(X.weight)
     change(faces_by_dim, weight)
-    return PureComplex(X.top_dim, faces_by_dim, weight)
+    return oracle.complex_from_faces(X.top_dim, faces_by_dim, weight)
 
 
 def _drop_facet(faces_by_dim, weight):
@@ -122,10 +125,6 @@ def _unsort_edges(faces_by_dim, weight):
     faces_by_dim[1].reverse()
 
 
-def _misfile_triangle(faces_by_dim, weight):
-    faces_by_dim[1].append((2, 3, 4))
-
-
 def _halve_empty_face(faces_by_dim, weight):
     weight[()] = 0.5
 
@@ -140,7 +139,6 @@ BROKEN = [
     (_drop_vertex, "closure violated: (3,) missing under (1, 3)"),
     (_perturb_edges, "weight recursion violated at (0, 1)"),
     (_unsort_edges, "faces of dimension 1 are not sorted"),
-    (_misfile_triangle, "face (2, 3, 4) filed under dimension 1"),
     (_halve_empty_face, "weight of the empty face is not 1"),
     (_double_vertex, "weights of dimension 0 sum to "),
 ]
@@ -163,12 +161,12 @@ def test_validate_rejects_non_finite_weights_and_unordered_faces():
     X = build_complex([(0, 1, 2), (1, 2, 3)])
     nan_weights = {face: math.nan for face in X.weight}
     with pytest.raises(ComplexError, match=re.escape("non-finite weight on ()")):
-        PureComplex(X.top_dim, X.faces_by_dim, nan_weights).validate()
+        oracle.complex_from_faces(X.top_dim, X.faces_by_dim, nan_weights).validate()
     inf_edge = dict(X.weight)
     inf_edge[(0, 1)] = math.inf
     with pytest.raises(ComplexError, match=re.escape("non-finite weight on (0, 1)")):
-        PureComplex(X.top_dim, X.faces_by_dim, inf_edge).validate()
-    edge = PureComplex(
+        oracle.complex_from_faces(X.top_dim, X.faces_by_dim, inf_edge).validate()
+    edge = oracle.complex_from_faces(
         1,
         {-1: [()], 0: [(0,), (1,)], 1: [(1, 0)]},
         {(): 1.0, (0,): 0.5, (1,): 0.5, (1, 0): 1.0},
@@ -286,7 +284,7 @@ def test_skeleton_recursion_checked(c42):
     weight = dict(c42.weight)
     weight[(0, 1)] += 1e-6
     weight[(0, 2)] -= 1e-6
-    X = PureComplex(c42.top_dim, c42.faces_by_dim, weight)
+    X = oracle.complex_from_faces(c42.top_dim, c42.faces_by_dim, weight)
     with pytest.raises(ComplexError, match=re.escape("weight recursion violated at (1,)")):
         skeleton_of(X, 1).validate()
 
@@ -415,7 +413,7 @@ def _assert_sub_by_scan(X):
     """Every subface array of ``X`` (from the closure, or by key lookup on
     a copy built from its face lists) equals the dict lookup, and so do the
     cached weight vectors."""
-    copy = PureComplex(X.top_dim, X.faces_by_dim, X.weight)
+    copy = oracle.complex_from_faces(X.top_dim, X.faces_by_dim, X.weight)
     for k in range(X.top_dim + 1):
         expect = oracle.sub_scan(X, k)
         assert np.array_equal(_sub(X, k), expect)
@@ -486,3 +484,57 @@ def test_exports_listed_in_module_all():
         listed = importlib.import_module(f"hdxwalk.{node.module}").__all__
         unlisted = [a.name for a in node.names if a.name not in listed]
         assert not unlisted, f"hdxwalk exports {unlisted} not in {node.module}.__all__"
+
+
+VIEW_KEYS = ("faces", "weight", "face_index")
+
+
+def _assert_views_match_arrays(X):
+    """The tuple lists and both dicts equal what the stored arrays say: the
+    faces are ids[rows], and each face maps to its weight and position."""
+    ids = _vertex_ids(X)
+    for k in range(-1, X.top_dim + 1):
+        faces = [tuple(ids[row].tolist()) for row in _rows(X, k)]
+        assert X.faces(k) == X.faces_by_dim[k] == faces
+        assert X.n_faces(k) == len(faces)
+        for pos, (face, w) in enumerate(zip(faces, weight_vector(X, k).tolist())):
+            assert face in X and X.weight[face] == w
+            assert X.face_index[face] == X.index_of(face) == pos
+    assert X.facets == X.faces(X.top_dim)
+    assert len(X.weight) == len(X.face_index) == sum(map(len, X.faces_by_dim.values()))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    X=st.one_of(
+        oracle.weighted_pure_complexes(),
+        oracle.relabeled_facets().map(lambda drawn: build_complex(*drawn)),
+    )
+)
+def test_views_equal_stored_arrays_property(X):
+    # closure-built complexes, their vertex links and their skeletons
+    derived = [X] + [link_of(X, v) for v in X.faces(0)[:3] if X.top_dim >= 1]
+    derived += [skeleton_of(X, i) for i in range(X.top_dim)]
+    for Y in derived:
+        _assert_views_match_arrays(Y)
+
+
+def test_stored_arrays_are_read_only(c42, skewed83):
+    for X in (c42, skewed83, link_of(c42, (0,)), skeleton_of(skewed83, 1)):
+        stored = [_vertex_ids(X)]
+        for k in range(-1, X.top_dim + 1):
+            stored += [_rows(X, k), weight_vector(X, k)]
+        assert not any(a.flags.writeable for a in stored)
+        with pytest.raises(ValueError):
+            weight_vector(X, 0)[0] = 1.0
+
+
+def test_parse_validate_and_check_block_build_no_views():
+    # the numerics read the arrays: parsing, validating and a fine-grained
+    # check_block at every dimension leave no tuple list or dict behind
+    X = parse_complex(write_complex(generate("complete", n=9, d=3)))
+    assert X.validate()
+    rng = np.random.default_rng(5)
+    for k in range(X.top_dim):
+        check_block(X, "fine-grained", k, random_mean_zero_block(X, k, rng, 4))
+    assert not [key for key in X._cache if key[0] in VIEW_KEYS]

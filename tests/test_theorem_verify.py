@@ -47,13 +47,13 @@ def _fstar(c42):
 
 
 def test_lambda_table_values(t3, c42, k53):
-    tt3 = lambda_table(gamma_profile(t3), 1)
+    tt3 = lambda_table(gamma_profile(t3))
     assert tt3.value(1, 1) == pytest.approx(-1.0, abs=1e-12)
     assert tt3.value(0, 1) == pytest.approx(-0.5, abs=1e-12)
-    tc = lambda_table(gamma_profile(c42), 1)
+    tc = lambda_table(gamma_profile(c42))
     assert tc.value(1, 1) == pytest.approx(-0.5, abs=1e-12)
     assert tc.value(0, 1) == pytest.approx(0.0, abs=1e-12)
-    tk = lambda_table(gamma_profile(k53), 2)
+    tk = lambda_table(gamma_profile(k53))
     assert tk.value(2, 2) == pytest.approx(-0.5, abs=1e-12)
     assert tk.value(1, 2) == pytest.approx(0.0, abs=1e-12)
     assert tk.value(0, 2) == pytest.approx(1 / 6, abs=1e-12)
@@ -179,7 +179,7 @@ def test_alev_lau_worst_case_agreement(c42):
 
     spec = selfadjoint_spectrum(c42, nonlazy(c42, 1))
     assert spec.eigenvalues[1] == pytest.approx(0.0, abs=SLACK_TOL)
-    assert lambda_table(gamma_profile(c42), 1).value(0, 1) == pytest.approx(
+    assert lambda_table(gamma_profile(c42)).value(0, 1) == pytest.approx(
         0.0, abs=SLACK_TOL
     )
 
@@ -302,7 +302,7 @@ def test_bootstrap_link_tables_match_link_gamma(all_fixtures, skewed83):
             assert list(cert.link_tables) == list(X.faces(0))
             for v in X.faces(0):
                 link = link_of(X, v)
-                expect = lambda_table(gamma_profile(link), link.top_dim - 1)
+                expect = lambda_table(gamma_profile(link))
                 got = cert.link_tables[v]
                 assert got.gamma.keys() == expect.gamma.keys()
                 assert got.values.keys() == expect.values.keys()
