@@ -13,7 +13,8 @@ with their weights (``("weights", k)``).  The tuple lists ``X.faces(k)``
 and the ``weight`` and ``face_index`` dicts are views, built from the
 arrays when first asked for, to look up, name or write faces; the
 numerics read the arrays.  Everything derived is memoized on the instance
-through :func:`_cached_op`, without a lock.
+through :func:`_cached_op`, without a lock, and every array the memo holds
+is read-only (:func:`_read_only`).
 
 Faces are found by integer keys (:func:`_keys`), and downward incidence is
 one int array per dimension (:func:`_sub`), from which the operators and
@@ -77,7 +78,7 @@ class PureComplex:
         for k in range(-1, top_dim + 1):
             self._cache["rows", k], self._cache["weights", k] = rows[k], weights[k]
         for array in self._cache.values():
-            array.flags.writeable = False
+            _read_only(array)
 
     def faces(self, k):
         """Faces of dimension ``k`` in canonical (lexicographic) order, as
@@ -130,9 +131,10 @@ class PureComplex:
         The facet weights are then pushed down it,
         ``e(s) = (sum of e(t) over the (k+1)-faces t over s) / (k+2)``;
         in a pure complex, skeletons included, that gives back ``w(s)``.
-        A face with no pushed mass lies under no facet (purity), and one
-        off by more than ``WEIGHT_TOL`` breaks the recursion.  Raises
-        ComplexError on the first violated invariant.
+        A face with no pushed mass lies under no facet (purity), the weights
+        of each dimension k = -1..d must sum to 1, and a face off by more
+        than ``WEIGHT_TOL`` breaks the recursion.  Raises ComplexError on
+        the first violated invariant.
         """
         d = self.top_dim
         for k in range(-1, d + 1):
@@ -165,20 +167,17 @@ class PureComplex:
                     if sub not in self.face_index
                 )
                 raise ComplexError(f"closure violated: {sub} missing under {face}") from None
-        if abs(weight_vector(self, -1)[0] - 1.0) > WEIGHT_TOL:
-            raise ComplexError("weight of the empty face is not 1")
         pushed = {d: weight_vector(self, d)}
         for k in range(d - 1, -2, -1):
             mass = np.repeat(pushed[k + 1], k + 2)
             pushed[k] = np.bincount(_sub(self, k + 1).ravel(), mass, self.n_faces(k)) / (k + 2)
-        for k in range(-1, d):
+        msg = {-1: "weight of the empty face is not 1", d: "facet weights do not sum to 1"}
+        for k in range(-1, d + 1):
             if not pushed[k].all():
                 raise ComplexError(f"purity violated at {_face_at(self, k, np.argmin(pushed[k]))}")
             total = sum(weight_vector(self, k).tolist())
             if abs(total - 1.0) > WEIGHT_TOL:
-                raise ComplexError(f"weights of dimension {k} sum to {total!r}, not 1")
-        if abs(sum(weight_vector(self, d).tolist()) - 1.0) > WEIGHT_TOL:
-            raise ComplexError("facet weights do not sum to 1")
+                raise ComplexError(msg.get(k, f"weights of dimension {k} sum to {total!r}, not 1"))
         for k in range(-1, d):
             off = np.abs(pushed[k] - weight_vector(self, k)) > WEIGHT_TOL
             if off.any():
@@ -330,7 +329,7 @@ def _closure(facets, facet_weights):
         # that a normalized weight underflowed
         raise ComplexError("facet weights out of range: a weight is not a normal float")
     X = PureComplex(d, ids, rows, weights)
-    X._cache.update(cached)
+    X._cache.update((key, _read_only(array)) for key, array in cached.items())
     return X
 
 
@@ -347,11 +346,21 @@ def weight_vector(X, k) -> np.ndarray:
     return _stored(X, "weights", k)
 
 
+def _read_only(value):
+    """``value`` with the arrays it holds made read-only: itself, the entries
+    of a tuple, or the ``matrix`` of a LinOp."""
+    for part in value if isinstance(value, tuple) else (getattr(value, "matrix", value),):
+        if isinstance(part, np.ndarray):
+            part.flags.writeable = False
+    return value
+
+
 def _cached_op(X, key, builder):
     """``builder()``, computed once per complex and key and kept in
-    ``X._cache``; the one memo mechanism of the package."""
+    ``X._cache`` with its arrays read-only (:func:`_read_only`): the one
+    memo mechanism of the package, so no caller can corrupt a later one."""
     if key not in X._cache:
-        X._cache[key] = builder()
+        X._cache[key] = _read_only(builder())
     return X._cache[key]
 
 

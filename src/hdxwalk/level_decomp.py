@@ -136,7 +136,6 @@ def _range_bases(X, k):
         for i in range(-1, k):
             Q = np.hstack([Q, _range_basis(s * multi_up(X, i, k - i).matrix, Q)])
             starts.append(Q.shape[1])
-        Q.flags.writeable = False
         return Q, tuple(starts)
 
     return _cached_op(X, ("range_bases", k), build)
@@ -147,13 +146,9 @@ def _top_basis(X, k):
     of the range stack, from one complete QR of it, an ``n_k x n_k`` factor.
     Built on first use and cached under ``("top_basis", k)``."""
     Q, _ = _range_bases(X, k)
-
-    def build():
-        B = _complement(Q) / np.sqrt(weight_vector(X, k))[:, None]
-        B.flags.writeable = False
-        return B
-
-    return _cached_op(X, ("top_basis", k), build)
+    return _cached_op(
+        X, ("top_basis", k), lambda: _complement(Q) / np.sqrt(weight_vector(X, k))[:, None]
+    )
 
 
 def level_space(X, k, i) -> LevelBasis:

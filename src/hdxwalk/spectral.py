@@ -74,7 +74,7 @@ class GammaProfile:
 
     ``gamma[j]`` is the maximum over j-faces of the second-largest
     eigenvalue of the non-lazy vertex walk on the face's link (j = -1 is
-    the complex itself).
+    the complex itself), or an array of such maxima, one per complex.
     """
 
     gamma: dict
@@ -138,7 +138,8 @@ def _link_incidences(X, j):
     Returns ``(counts, starts, gid)``: ``counts[sigma]`` link vertices
     start at ``starts[sigma]`` in the grouped order, and ``gid[t, c]`` is
     the grouped position of the (j+1)-face t seen from its subface
-    ``_sub(X, j+1)[t, c]``."""
+    ``_sub(X, j+1)[t, c]``.  :func:`link_lambda2` scatters its walks by
+    it, and ``trickling_down_check`` its vertex links (j = 0)."""
     flat = _sub(X, j + 1).ravel()
     counts = np.bincount(flat, minlength=X.n_faces(j))
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))

@@ -21,6 +21,7 @@ calls into it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,7 @@ from .level_decomp import proper_level_basis
 from .spectral import (
     GammaProfile,
     HypothesisError,
+    _link_incidences,
     gamma_profile,
     lambda2_skeleton,
     link_lambda2,
@@ -91,14 +93,12 @@ class LambdaTable:
 
 def lambda_table(profile) -> LambdaTable:
     """Fill the closed form for all 0 <= i <= k <= 1 + the profile's top
-    dimension, which is k <= d-1 for the profile of a d-complex."""
+    dimension (k <= d-1 for a d-complex), entrywise when gammas are arrays."""
     gamma = dict(profile.gamma)
     values = {}
     for k in range(0, max(profile.dims()) + 2):
         for i in range(0, k + 1):
-            prod = 1.0
-            for j in range(i - 1, k):
-                prod *= 1.0 - gamma[j]
+            prod = math.prod(1.0 - gamma[j] for j in range(i - 1, k))
             values[(i, k)] = 1.0 - prod / (k - i + 1)
     return LambdaTable(gamma, values)
 
@@ -170,7 +170,7 @@ def check_block(X, theorem, k, F) -> BlockReport:
     squared W-norms of its components, only up to rounding (on
     complete(9,3), k = 0..2, they differ by up to 5.6e-16).  The quadratic
     form is one product with the walk.  Every column must be W-orthogonal
-    to the constants.
+    to the constants: its weighted mean at most 1e-9 times its W-norm.
     """
     dims = levelled_dims(X, theorem)
     if k not in dims:
@@ -185,7 +185,7 @@ def check_block(X, theorem, k, F) -> BlockReport:
     w = weight_vector(X, k)
     WF = w[:, None] * F
     nsq = _colsum(WF, F)
-    if np.any(np.abs(w @ F) > 1e-9 * np.maximum(1.0, np.sqrt(nsq))):
+    if np.any(np.abs(w @ F) > 1e-9 * np.sqrt(nsq)):
         raise ComplexError("cochain has a nonzero constant component")
     if theorem == "advantage":
         gamma = lambda2_skeleton(X)
@@ -264,12 +264,14 @@ class BootstrapCertificate:
     ``worst_slack_first`` is the margin of the advantage condition
     (quadratic-form maximization over the 0-level subspace),
     ``worst_slack_second`` the margin of the link-to-global table
-    condition.  Both must be >= -1e-9.
+    condition.  Both must be >= -1e-9.  ``link_tables`` is the vertex
+    links' tables as one, its gammas and values arrays over the vertices:
+    entry p belongs to the p-th vertex.
     """
 
     k: int
     table: LambdaTable
-    link_tables: dict
+    link_tables: LambdaTable
     worst_slack_first: float
     worst_slack_second: float
 
@@ -292,29 +294,23 @@ def bootstrap_certificate(X, k) -> BootstrapCertificate:
     ``|d*_0 ... d*_{k-1} g|^2``, whose worst ratio to ``|g|^2`` is
     lambda_2 of the k-fold vertex up-down walk ``up_down(X, 0, k)``, so
     the condition is one eigenvalue of an ``n_0 x n_0`` walk.  The vertex
-    links' tables are read off the per-face link spectra of ``X``
-    (:func:`hdxwalk.spectral.link_lambda2`), one scatter-max over the
-    rank rows ``_rows(X, j+1)`` per dimension; no link complex is built.
+    links' gammas are read off the per-face link spectra of ``X``
+    (:func:`hdxwalk.spectral.link_lambda2`), one scatter-max over the rank
+    rows ``_rows(X, j+1)`` per dimension into an array over the vertices,
+    and the closed form runs once on those arrays; no link complex is built.
     """
     if not 1 <= k <= X.top_dim - 1:
         raise ComplexError(f"bootstrap_certificate needs 1 <= k < {X.top_dim}")
-    r = k - 1
     table = lambda_table(gamma_profile(X))
     # the link of tau in link(v) is the link of tau + v in X, so gamma_j of
     # link(v) is the worst link_lambda2(X, j+1) over the (j+1)-faces at v
-    dims = range(-1, X.top_dim - 2)
-    gamma = np.full((len(dims), X.n_faces(0)), -np.inf)
-    for row, j in zip(gamma, dims):
+    gamma = {j: np.full(X.n_faces(0), -np.inf) for j in range(-1, X.top_dim - 2)}
+    for j, row in gamma.items():
         np.maximum.at(row, _rows(X, j + 1), link_lambda2(X, j + 1)[:, None])
-    link_tables = {
-        v: lambda_table(GammaProfile(dict(zip(dims, col))))
-        for v, col in zip(X.faces(0), gamma.T.tolist())
-    }
-
-    worst_second = np.inf
-    for i in range(1, k + 1):
-        worst_link = max(t.value(i - 1, r) for t in link_tables.values())
-        worst_second = min(worst_second, table.value(i, k) - worst_link)
+    link_tables = lambda_table(GammaProfile(gamma))
+    worst_second = min(
+        table.value(i, k) - link_tables.value(i - 1, k - 1).max() for i in range(1, k + 1)
+    )
 
     # U = multi_up(X, 0, k) has W-adjoint D = multi_down(X, 0, k), so the
     # worst <g, U D g> / |g|^2 over 0-level g is the top eigenvalue of D U
@@ -344,10 +340,10 @@ def trickling_down_check(X, samples=5, seed=0) -> TricklingReport:
     restricted cochain over a vertex link equals the non-lazy walk applied
     at that vertex, on ``samples`` Gaussian vertex cochains drawn as one
     block: the walk is one matrix product, and each vertex restricts the
-    block to its link with one gather.  The link of ``v`` is read off the
-    edge index ``_sub(X, 1)``: its vertices are the other endpoints of the
-    edges over ``v`` in ascending position, the vertex ``u`` weighing
-    ``w(uv) / (2 w(v))``; no link complex is built.
+    block to its link with one gather.  No link complex is built: the link
+    of ``v``, grouped by ``_link_incidences(X, 0)`` as for ``link_lambda2``,
+    holds the other endpoints of the edges over ``v`` in ascending position,
+    ``u`` weighing ``w(uv) / (2 w(v))``.
     """
     if X.top_dim < 2:
         raise ComplexError("trickling down needs a complex of dimension >= 2")
@@ -362,17 +358,15 @@ def trickling_down_check(X, samples=5, seed=0) -> TricklingReport:
     rng = np.random.default_rng(seed)
     F = rng.standard_normal((max(samples, 0), X.n_faces(0))).T
     MF = nonlazy(X, 0).matrix @ F
-    # row e of _sub(X, 1) holds the positions of edge e's endpoints, so its
-    # reverse holds each entry's other endpoint; a stable sort by endpoint
-    # groups the edges over each vertex in ascending position
+    # edge e, seen from its endpoint ends[e, c], fills slot[e, c] of that
+    # endpoint's link with its other endpoint, the reversed row's entry
+    _, starts, slot = _link_incidences(X, 0)
     ends = _sub(X, 1)
-    end = ends.ravel()
-    order = np.argsort(end, kind="stable")
-    other = ends[:, ::-1].ravel()[order]
-    link_w = weight_vector(X, 1)[order // 2] / (2 * weight_vector(X, 0)[end[order]])
-    splits = np.cumsum(np.bincount(end, minlength=X.n_faces(0)))[:-1]
+    other, link_w = np.empty(ends.size, np.intp), np.empty(ends.size)
+    other[slot] = ends[:, ::-1]
+    link_w[slot] = weight_vector(X, 1)[:, None] / (2 * weight_vector(X, 0)[ends])
     residual = 0.0
-    for pos, (nbrs, wl) in enumerate(zip(np.split(other, splits), np.split(link_w, splits))):
+    for pos, (nbrs, wl) in enumerate(zip(*(np.split(a, starts[1:]) for a in (other, link_w)))):
         gap = np.abs(F[nbrs].T @ wl - MF[pos])
         residual = max(residual, float(np.max(gap, initial=0.0)))
     passed = bool(actual <= bound + SLACK_TOL and residual <= 1e-12)

@@ -16,19 +16,30 @@ from hdxwalk import (
     RESTRICTION,
     Cochain,
     ComplexError,
+    OrientedCochain,
+    PureComplex,
+    bootstrap_certificate,
     build_complex,
     canonical_face,
+    gamma_profile,
     generate,
+    is_local_spectral_expander,
     link_of,
     localize,
+    minimal_representative,
+    nonlazy,
     parse_complex,
+    proper_decompose,
+    proper_level_basis,
     skeleton_of,
+    trickling_down_check,
     view,
     weight_vector,
     write_complex,
 )
-from hdxwalk.complex_core import _rows, _sub, _vertex_ids
-from hdxwalk.theorem_verify import check_block, random_mean_zero_block
+from hdxwalk.complex_core import _keys, _rows, _sub, _vertex_ids
+from hdxwalk.spectral import link_lambda2
+from hdxwalk.theorem_verify import LEVELLED, check_block, levelled_dims, random_mean_zero_block
 
 TOL = 1e-12
 
@@ -538,3 +549,49 @@ def test_parse_validate_and_check_block_build_no_views():
     for k in range(X.top_dim):
         check_block(X, "fine-grained", k, random_mean_zero_block(X, k, rng, 4))
     assert not [key for key in X._cache if key[0] in VIEW_KEYS]
+
+
+def _memo_arrays(X):
+    """Every array the memo of ``X`` holds: stored directly, inside a tuple,
+    as a LinOp's matrix, or in the memo of a cached link."""
+    for value in X._cache.values():
+        for part in value if isinstance(value, tuple) else (getattr(value, "matrix", value),):
+            if isinstance(part, np.ndarray):
+                yield part
+            elif isinstance(part, PureComplex):
+                yield from _memo_arrays(part)
+
+
+def test_memo_holds_only_read_only_arrays():
+    # after every certificate has run, the memo holds no writable array, so
+    # a caller writing into a table it was handed cannot corrupt a later
+    # reader, as gamma_profile reads link_lambda2
+    X = parse_complex(write_complex(generate("complete", n=9, d=3)))
+    assert X.validate()
+    is_local_spectral_expander(X, 0.5)
+    rng = np.random.default_rng(9)
+    for theorem in LEVELLED:
+        for k in levelled_dims(X, theorem):
+            check_block(X, theorem, k, random_mean_zero_block(X, k, rng, 3))
+    for k in range(1, X.top_dim):
+        bootstrap_certificate(X, k)
+    trickling_down_check(X)
+    for k in range(X.top_dim + 1):
+        f = Cochain(X, k, rng.standard_normal(X.n_faces(k)))
+        proper_decompose(X, f)
+        minimal_representative(X, OrientedCochain(X, k, f.values))
+        if k:
+            localize(X, f, (0,))
+    families = {key[0] for key in X._cache}
+    assert {"sub", "keys", "link_lambda2", "nonlazy", "up_down", "multi_down"} <= families
+    assert {"range_bases", "top_basis", "coboundary", "link"} <= families
+    arrays = list(_memo_arrays(X))
+    assert len(arrays) > 4 * (X.top_dim + 2)
+    assert not any(a.flags.writeable for a in arrays)
+    handed = [_sub(X, 1), _keys(X, 1), link_lambda2(X, 0), nonlazy(X, 0).matrix]
+    handed += [proper_level_basis(X, k, k) for k in range(-1, X.top_dim + 1)]
+    for array in handed:
+        with pytest.raises(ValueError):
+            array[:] = 5
+    # the vertex links are complete(8,2), whose vertex walk has lambda2 = -1/7
+    assert abs(gamma_profile(X).gamma[0] + 1 / 7) <= TOL

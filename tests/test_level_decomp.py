@@ -276,6 +276,14 @@ def test_walk_identities_and_projector_components_property(X, seed):
             assert np.sqrt(norm_sq(X, gap)) <= LEVEL_TOL * scale
 
 
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(X=oracle.weighted_pure_complexes())
+def test_proper_level_dimensions_sum_to_face_count_property(X):
+    for k in range(-1, X.top_dim + 1):
+        dims = [proper_level_basis(X, k, i).shape[1] for i in range(-1, k + 1)]
+        assert sum(dims) == X.n_faces(k)
+
+
 def test_proper_decompose_builds_no_complement(monkeypatch):
     # the top level is a residual: decomposing on a fresh complex never
     # forms the complete n_k x n_k QR factor, which only level k's basis needs

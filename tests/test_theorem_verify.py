@@ -294,22 +294,22 @@ def test_bootstrap_expectation_identity(all_fixtures):
 
 
 def test_bootstrap_link_tables_match_link_gamma(all_fixtures, skewed83):
-    # the tables read off the per-face link spectra of X equal the tables of
-    # the vertex links' own gamma profiles
+    # the one table read off the per-face link spectra of X holds, in
+    # column p, the table of the p-th vertex link's own gamma profile
     for _, X in all_fixtures + [("skewed_complete83", skewed83)]:
         for k in range(1, X.top_dim):
-            cert = bootstrap_certificate(X, k)
-            assert list(cert.link_tables) == list(X.faces(0))
-            for v in X.faces(0):
+            got = bootstrap_certificate(X, k).link_tables
+            columns = [*got.gamma.values(), *got.values.values()]
+            assert {np.shape(c) for c in columns} == {(X.n_faces(0),)}
+            for p, v in enumerate(X.faces(0)):
                 link = link_of(X, v)
                 expect = lambda_table(gamma_profile(link))
-                got = cert.link_tables[v]
                 assert got.gamma.keys() == expect.gamma.keys()
                 assert got.values.keys() == expect.values.keys()
                 for j, g in expect.gamma.items():
-                    assert abs(got.gamma[j] - g) <= 1e-14
+                    assert abs(got.gamma[j][p] - g) <= 1e-14
                 for key, value in expect.values.items():
-                    assert abs(got.values[key] - value) <= 1e-14
+                    assert abs(got.values[key][p] - value) <= 1e-14
 
 
 def test_trickling_residual_matches_per_sample_route(all_fixtures, skewed83):
@@ -444,6 +444,17 @@ def test_block_rejects_constant_component_anywhere(c42, theorem, position):
     F[:, position] += 1.0
     with pytest.raises(ComplexError, match="cochain has a nonzero constant component"):
         check_block(c42, theorem, 1, F)
+
+
+@pytest.mark.parametrize("theorem", sorted(LEVELLED_CHECKS))
+def test_block_rejects_constant_component_of_tiny_cochain(theorem):
+    # the constant part of 1e-12 (g + 0.5), g a unit mean-zero 1-cochain,
+    # holds a fifth of its squared W-norm: no absolute floor may hide it
+    X = generate("complete", n=6, d=3)
+    g = random_mean_zero_block(X, 1, np.random.default_rng(6), 1)
+    with pytest.raises(ComplexError, match="cochain has a nonzero constant component"):
+        check_block(X, theorem, 1, 1e-12 * (g + 0.5))
+    check_block(X, theorem, 1, 1e-12 * g)  # mean-zero at any scale: accepted
 
 
 def test_block_rejects_bad_shapes(c42):
