@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -108,9 +109,7 @@ def cmd_analyze(args):
     report = {
         "dim": X.top_dim,
         "face_counts": [X.n_faces(k) for k in range(X.top_dim + 1)],
-        "weight_sums": [
-            float(sum(weight_vector(X, k).tolist())) for k in range(X.top_dim + 1)
-        ],
+        "weight_sums": [math.fsum(weight_vector(X, k).tolist()) for k in range(X.top_dim + 1)],
         "gamma_profile": {str(j): profile[j] for j in profile.dims()},
         "lambda2": lambda2_skeleton(X),
     }

@@ -175,7 +175,7 @@ class PureComplex:
         for k in range(-1, d + 1):
             if not pushed[k].all():
                 raise ComplexError(f"purity violated at {_face_at(self, k, np.argmin(pushed[k]))}")
-            total = sum(weight_vector(self, k).tolist())
+            total = math.fsum(weight_vector(self, k).tolist())
             if abs(total - 1.0) > WEIGHT_TOL:
                 raise ComplexError(msg.get(k, f"weights of dimension {k} sum to {total!r}, not 1"))
         for k in range(-1, d):
@@ -284,9 +284,10 @@ def _closure(facets, facet_weights):
     among the (k-1)-faces) * n_0 + (rank of its last vertex).  Keys ascend
     with the faces' lexicographic order and stay below n_(k-1) * n_0, so
     the distinct keys are the k-faces in canonical order, and looking each
-    subset's key up among them gives its face.  The weights of a level are
-    one ``bincount`` over those faces: the facet weights over each face
-    added in facet order from 0.0, as a dict closure adds them.  The
+    subset's key up among them gives its face.  The facet weights are
+    normalized by their ``math.fsum``, and the weights of a level are one
+    ``bincount`` over those faces: the normalized facet weights over each
+    face added in facet order from 0.0, as a dict closure adds them.  The
     stored arrays (vertex ids, rank rows, weights), the subface arrays
     (:func:`_sub`) and the face keys all fall out of the same pass.
     """
@@ -295,8 +296,13 @@ def _closure(facets, facet_weights):
     if facet_weights is None:
         top = np.full(m, 1.0 / m)
     else:
-        total = float(sum(facet_weights))
-        top = np.fromiter(map(float, facet_weights), float, m) / total
+        top = np.fromiter(map(float, facet_weights), float, m)
+        try:
+            # exactly rounded: the same on every interpreter and in any order
+            total = math.fsum(facet_weights)
+        except OverflowError:  # the weights sum past the largest float
+            total = math.inf
+        top /= total
     ids = _distinct(facets.ravel())[0]
     ranks = np.searchsorted(ids, facets)
     n0 = len(ids)

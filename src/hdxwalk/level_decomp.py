@@ -15,7 +15,8 @@ the top and the orthogonal decomposition ``f = f_{-1} + f_0 + ... + f_k``.
 
 The flag is cached once, as the ``sqrt(w)``-scaled stack of levels -1..k-1
 and the column where each starts.  The top level k is the stack's
-complement; its basis takes one complete QR, an ``n_k x n_k`` factor, and
+complement; its basis is read off the Householder vectors of the stack's
+own QR (one triangular solve and one product, no ``n_k x n_k`` factor), and
 is built only when a caller asks for it (``proper_level_basis(X, k, k)``,
 ``level_space``, the certificates' level masses).  :func:`proper_decompose`
 never does: its top component is ``sqrt(w) f`` projected off the stack twice.
@@ -114,8 +115,29 @@ def _range_basis(A, Q):
 
 
 def _complement(Q):
-    """Orthonormal basis of the orthogonal complement of range(Q)."""
-    return np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]
+    """Orthonormal basis of the orthogonal complement of range(Q), for Q
+    of shape (n, r) with orthonormal columns: the last n - r columns of the
+    product ``H_1 ... H_r`` of the reflectors of Q's Householder QR.
+
+    In compact WY form (Schreiber and Van Loan, 1989) that product is
+    ``I - Y T Y^T``, with Y the unit lower trapezoidal reflector vectors
+    and ``T = (I + diag(tau) striu(Y^T Y))^-1 diag(tau)``, so its last
+    columns are ``[0; I] - Y T Y[r:]^T``: one unit triangular solve and one
+    ``n x r`` by ``r x (n - r)`` product, and no ``n x n`` factor.  A zero
+    tau (an identity reflector) needs no special case in this form.
+    """
+    n, r = Q.shape
+    h, tau = np.linalg.qr(Q, mode="raw")
+    Y = np.tril(h.T, -1)
+    diag = np.arange(r)
+    Y[diag, diag] = 1.0
+    A = tau[:, None] * np.triu(Y.T @ Y, 1)
+    A[diag, diag] = 1.0
+    C = Y @ np.linalg.solve(A, tau[:, None] * Y[r:].T)
+    # 0 - x rather than -x: exact zeros stay +0.0, as the complete QR gives them
+    np.subtract(0.0, C, out=C)
+    C[np.arange(r, n), np.arange(n - r)] += 1.0
+    return C
 
 
 def _range_bases(X, k):
@@ -143,12 +165,16 @@ def _range_bases(X, k):
 
 def _top_basis(X, k):
     """Read-only W-orthonormal basis of the proper level k: the complement
-    of the range stack, from one complete QR of it, an ``n_k x n_k`` factor.
-    Built on first use and cached under ``("top_basis", k)``."""
+    of the range stack (:func:`_complement`) over ``sqrt(w)``.  Built on
+    first use and cached under ``("top_basis", k)``."""
     Q, _ = _range_bases(X, k)
-    return _cached_op(
-        X, ("top_basis", k), lambda: _complement(Q) / np.sqrt(weight_vector(X, k))[:, None]
-    )
+
+    def build():
+        B = _complement(Q)
+        B /= np.sqrt(weight_vector(X, k))[:, None]
+        return B
+
+    return _cached_op(X, ("top_basis", k), build)
 
 
 def level_space(X, k, i) -> LevelBasis:

@@ -10,8 +10,10 @@ each link with ``link_of`` and evaluate inside it.
 eigenvalue of a dense form on the 0-level k-cochains, where the package
 takes one eigenvalue of the vertex up-down walk.
 ``proper_decompose_complete`` is the proper level decomposition with
-every level's basis built, the top level from one complete QR, where the
-package takes the top level as a residual.
+every level's basis built, the top level from one complete QR
+(``complement_complete``, the full ``n_k x n_k`` orthogonal factor), where
+the package takes the top level as a residual and builds its basis, when
+asked, from the compact WY form of the same reflectors.
 ``weighted_pure_complexes`` is the hypothesis strategy the property tests
 draw their complexes from.  ``complex_from_faces`` stores a complex given
 as tuple lists and a weight dict, unchecked, which the library never
@@ -115,7 +117,7 @@ def closure_scan(facets, facet_weights=None):
     if facet_weights is None:
         top = [1.0 / len(facets)] * len(facets)
     else:
-        total = float(sum(facet_weights))
+        total = math.fsum(facet_weights)
         top = [float(w) / total for w in facet_weights]
     faces_by_dim = {}
     weight = {}
@@ -226,10 +228,10 @@ def validate_scan(X, tol=WEIGHT_TOL):
             fset = set(face)
             if not any(fset <= set(F) for F in top):
                 raise ComplexError(f"purity violated at {face}")
-        total = sum(X.weight[f] for f in X.faces_by_dim[k])
+        total = math.fsum(X.weight[f] for f in X.faces_by_dim[k])
         if abs(total - 1.0) > tol:
             raise ComplexError(f"weights of dimension {k} sum to {total!r}, not 1")
-    if abs(sum(X.weight[f] for f in top) - 1.0) > tol:
+    if abs(math.fsum(X.weight[f] for f in top) - 1.0) > tol:
         raise ComplexError("facet weights do not sum to 1")
     for k in range(-1, d):
         denom = math.comb(d + 1, k + 1)
@@ -522,13 +524,23 @@ def bootstrap_condition1_dense(X, k):
     return -float(np.linalg.eigvalsh(R)[-1])
 
 
+def complement_complete(Q):
+    """Orthonormal basis of the orthogonal complement of range(Q), for Q
+    with orthonormal columns: the trailing columns of the complete
+    ``n x n`` Householder factor of Q, the second route for
+    ``level_decomp._complement``."""
+    return np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]
+
+
 def proper_bases_complete(X, k):
     """W-orthonormal bases of the proper levels -1..k by one block
     Gram-Schmidt over the lifts and one complete QR for level k, built
     afresh with nothing cached: the second route for the package's cached
-    range bases and top basis, which must agree with it bitwise."""
+    range bases, which must agree with it bitwise, and for its top basis,
+    which the package accumulates from the same reflectors in another
+    order and so matches only to rounding."""
     from hdxwalk.cochain_ops import multi_up, weight_vector
-    from hdxwalk.level_decomp import _complement, _range_basis
+    from hdxwalk.level_decomp import _range_basis
 
     s = np.sqrt(weight_vector(X, k))[:, None]
     Q = np.zeros((len(s), 0))
@@ -536,7 +548,7 @@ def proper_bases_complete(X, k):
     for i in range(-1, k):
         bases[i] = _range_basis(s * multi_up(X, i, k - i).matrix, Q)
         Q = np.hstack([Q, bases[i]])
-    bases[k] = _complement(Q)
+    bases[k] = complement_complete(Q)
     return {i: B / s for i, B in bases.items()}
 
 
@@ -655,11 +667,11 @@ def restriction_level_space(X, i):
     the mean-zero space, level 1 the kernel of the non-lazy vertex walk, the
     W-complement of its range."""
     from hdxwalk.cochain_ops import nonlazy, weight_vector
-    from hdxwalk.level_decomp import LevelBasis, _complement, _range_basis
+    from hdxwalk.level_decomp import LevelBasis, _range_basis
 
     if i not in (0, 1):
         raise ComplexError("restriction level spaces are implemented for i in {0, 1}")
     s = np.sqrt(weight_vector(X, 0))[:, None]
     A = s if i == 0 else s * nonlazy(X, 0).matrix
     Q = _range_basis(A, np.zeros((len(s), 0)))
-    return LevelBasis(0, i, _complement(Q) / s)
+    return LevelBasis(0, i, complement_complete(Q) / s)

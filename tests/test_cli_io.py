@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from hdxwalk import (
     parse_cochain,
     parse_complex,
     updown_corollary_check,
+    weight_vector,
     write_cochain,
     write_complex,
 )
@@ -51,6 +53,15 @@ def test_complex_roundtrip(all_fixtures):
         Y = parse_complex(write_complex(X))
         assert Y.is_close(X, tol=1e-15)
         assert write_complex(Y) == write_complex(X)
+
+
+def test_large_uniform_roundtrip_validates():
+    # the 27,405 written facet weights are normalized by their exactly
+    # rounded sum, so they sum to 1 on any interpreter; a sequential sum
+    # left the empty face 1.2e-12 below 1 and validate() refused the file
+    Y = parse_complex(write_complex(generate("complete", n=30, d=3)))
+    assert Y.validate()
+    assert abs(math.fsum(weight_vector(Y, 3).tolist()) - 1.0) <= 2 * np.spacing(1.0)
 
 
 def test_parse_complex_comments_and_order():
