@@ -214,7 +214,7 @@ def _verify_cases(X, theorem, samples, seed):
     elif theorem == "trickling":
         rep = trickling_down_check(X, samples=samples, seed=seed)
         yield "walk-bound", rep.bound - rep.actual
-        yield "advantage-identity", 1e-12 - rep.advantage_residual
+        yield "advantage-identity", rep.advantage_tol - rep.advantage_residual
     else:  # pragma: no cover - argparse restricts the choices
         raise ParseError(f"unknown theorem {theorem!r}")
 

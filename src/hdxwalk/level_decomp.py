@@ -14,12 +14,20 @@ block Gram-Schmidt over it gives every proper level ``R_i - R_{i-1}`` below
 the top and the orthogonal decomposition ``f = f_{-1} + f_0 + ... + f_k``.
 
 The flag is cached once, as the ``sqrt(w)``-scaled stack of levels -1..k-1
-and the column where each starts.  The top level k is the stack's
-complement; its basis is read off the Householder vectors of the stack's
-own QR (one triangular solve and one product, no ``n_k x n_k`` factor), and
-is built only when a caller asks for it (``proper_level_basis(X, k, k)``,
-``level_space``, the certificates' level masses).  :func:`proper_decompose`
-never does: its top component is ``sqrt(w) f`` projected off the stack twice.
+and the column where each starts.  Each level below the top comes from one
+symmetric eigensolve of the Gram matrix of its lift projected off the
+stack, and from further ones on what is left where skewed weights make
+directions weaker than one eigensolve resolves; with the lift's columns
+scaled by ``w^-1/2``, the Gram of the whole lift is the symmetrized
+up-down walk, of norm 1.  Within a level the basis runs along that Gram's
+eigenvectors, strongest first, and is otherwise free: where eigenvalues
+repeat, rounding picks it.  The top level k is the
+stack's complement; its basis is read off the Householder vectors of the
+stack's own QR (one triangular solve and one product, no ``n_k x n_k``
+factor), and is built only when a caller asks for it
+(``proper_level_basis(X, k, k)``, ``level_space``, the certificates' level
+masses).  :func:`proper_decompose` never does: its top component is
+``sqrt(w) f`` projected off the stack twice.
 """
 
 from __future__ import annotations
@@ -105,13 +113,39 @@ class LevelBasis:
 
 def _range_basis(A, Q):
     """Orthonormal basis of the part of range(A) orthogonal to the
-    orthonormal columns Q: project A off Q twice (once leaves rounding in
-    proportion to A), one thin SVD, rank cut relative to A's own norm."""
-    tol = max(A.shape) * np.finfo(float).eps * np.linalg.norm(A)
-    for _ in range(2):
-        A = A - Q @ (Q.T @ A)
-    u, sv, _ = np.linalg.svd(A, full_matrices=False)
-    return u[:, sv > tol]
+    orthonormal columns Q, strongest direction first.
+
+    Each pass projects A off Q and the blocks found so far and takes one
+    ``eigh`` of its Gram ``G = A^T A``.  ``eigh`` resolves eigenvalues only
+    to about eps |G|, so a pass keeps those above ``sqrt(eps) |G|``: there
+    the thin SVD's left factor ``B = A V L^-1/2`` is orthonormal to within
+    sqrt(eps), and one Newton-Schulz step ``B (3 I - B^T B) / 2`` takes it
+    to rounding.  ``L^-1/2`` amplifies the rounding A keeps in the stack,
+    so B is projected off it first.  The eigenvectors below that leave
+    ``A V`` for the next pass, whose Gram is smaller.  The passes end when
+    what is left has ``|A|_F^2`` at most the rank cut
+    ``(max(shape) eps |A|_F)^2`` of the original A, the thin SVD's cut
+    squared, or when a pass finds nothing above it.  One pass takes every
+    direction of the lifts of uniform complexes.  Skewed weights make
+    weaker ones: on complete(8,3) with facet weights spread over 6 decades
+    a few lifts take a second pass, over 20 decades some take a third.
+    """
+    eps = np.finfo(float).eps
+    cut = (max(A.shape) * eps) ** 2 * np.vdot(A, A)
+    blocks = []
+    while np.vdot(A, A) > cut:
+        for P in [Q, *blocks]:
+            A = A - P @ (P.T @ A)
+        lam, V = np.linalg.eigh(A.T @ A)
+        keep = np.flatnonzero(lam > max(cut, np.sqrt(eps) * lam.max(initial=0.0)))[::-1]
+        if not len(keep):
+            break
+        B = A @ (V[:, keep] / np.sqrt(lam[keep]))
+        A = A @ V[:, : keep[-1]]  # what is left, and the lift is freed
+        for P in [Q, *blocks]:
+            B -= P @ (P.T @ B)
+        blocks.append(B @ (1.5 * np.eye(len(keep)) - 0.5 * (B.T @ B)))
+    return np.hstack([A[:, :0], *blocks])
 
 
 def _complement(Q):
@@ -129,6 +163,7 @@ def _complement(Q):
     n, r = Q.shape
     h, tau = np.linalg.qr(Q, mode="raw")
     Y = np.tril(h.T, -1)
+    del h  # an n x r array the rest does not need
     diag = np.arange(r)
     Y[diag, diag] = 1.0
     A = tau[:, None] * np.triu(Y.T @ Y, 1)
@@ -156,7 +191,11 @@ def _range_bases(X, k):
         Q = np.zeros((len(s), 0))
         starts = [0]
         for i in range(-1, k):
-            Q = np.hstack([Q, _range_basis(s * multi_up(X, i, k - i).matrix, Q)])
+            # scaled by w_i^-1/2 the lift's Gram is the symmetrized up-down
+            # walk, of norm 1: weak levels sit further above the rank cut
+            A = s * multi_up(X, i, k - i).matrix
+            A /= np.sqrt(weight_vector(X, i))
+            Q = np.hstack([Q, _range_basis(A, Q)])
             starts.append(Q.shape[1])
         return Q, tuple(starts)
 
@@ -195,8 +234,7 @@ def proper_level_basis(X, k, i) -> np.ndarray:
         return _top_basis(X, k)
     Q, starts = _range_bases(X, k)
     s = np.sqrt(weight_vector(X, k))[:, None]
-    # Fortran order, as the SVD factor the columns come from: products round alike
-    return np.divide(Q[:, starts[i + 1]:starts[i + 2]], s, order="F")
+    return Q[:, starts[i + 1]:starts[i + 2]] / s
 
 
 @dataclass(frozen=True)

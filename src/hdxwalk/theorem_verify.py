@@ -328,6 +328,7 @@ class TricklingReport:
     bound: float
     actual: float
     advantage_residual: float
+    advantage_tol: float
     passed: bool
 
 
@@ -340,7 +341,9 @@ def trickling_down_check(X, samples=5, seed=0) -> TricklingReport:
     restricted cochain over a vertex link equals the non-lazy walk applied
     at that vertex, on ``samples`` Gaussian vertex cochains drawn as one
     block: the walk is one matrix product, and each vertex restricts the
-    block to its link with one gather.  No link complex is built: the link
+    block to its link with one gather.  Both sides are weighted averages of
+    the samples, so the identity holds to ``1e-12 * max|F|`` over the block
+    ``F`` (``advantage_tol``).  No link complex is built: the link
     of ``v``, grouped by ``_link_incidences(X, 0)`` as for ``link_lambda2``,
     holds the other endpoints of the edges over ``v`` in ascending position,
     ``u`` weighing ``w(uv) / (2 w(v))``.
@@ -369,8 +372,9 @@ def trickling_down_check(X, samples=5, seed=0) -> TricklingReport:
     for pos, (nbrs, wl) in enumerate(zip(*(np.split(a, starts[1:]) for a in (other, link_w)))):
         gap = np.abs(F[nbrs].T @ wl - MF[pos])
         residual = max(residual, float(np.max(gap, initial=0.0)))
-    passed = bool(actual <= bound + SLACK_TOL and residual <= 1e-12)
-    return TricklingReport(float(lam), float(bound), float(actual), float(residual), passed)
+    tol = 1e-12 * float(np.max(np.abs(F), initial=0.0))
+    passed = bool(actual <= bound + SLACK_TOL and residual <= tol)
+    return TricklingReport(float(lam), float(bound), float(actual), float(residual), tol, passed)
 
 
 def random_mean_zero_block(X, k, rng, m) -> np.ndarray:

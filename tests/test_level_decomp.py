@@ -214,21 +214,17 @@ def test_proper_decompose_invariants(all_fixtures):
                     assert np.max(np.abs(Pnext @ d.components[i].values)) <= LEVEL_TOL
 
 
-# the package accumulates the top basis from the stack's reflectors in
-# compact WY form, the oracle by a complete QR of the same reflectors; in
-# sqrt(w) coordinates they differ by at most 5.6e-16 entrywise on the test
-# fixtures and 300 property draws, and by 1.3e-15 on complete(14,3) and a
-# 12-decade complete(12,3)
-TOP_BASIS_TOL = 2e-15
-
-
 def _assert_matches_complete_route(X, rng, mass_tol):
     """proper_decompose against the route that builds every level basis,
-    the top one by a complete QR, at every dimension of ``X``: level masses
-    within ``mass_tol * max(1, |f|^2)``, components within ``LEVEL_TOL``
-    in the W-norm (entries on faces of weight w are only fixed to rounding
-    over sqrt(w)), the level bases below the top bitwise, and the top
-    basis in sqrt(w) coordinates entrywise within ``TOP_BASIS_TOL``."""
+    the lower ones by thin SVDs and the top one by a complete QR, at every
+    dimension of ``X``: level masses within ``mass_tol * max(1, |f|^2)``,
+    components within ``LEVEL_TOL`` in the W-norm (entries on faces of
+    weight w are only fixed to rounding over sqrt(w)), and at every level
+    the same dimension and the same projector ``B B^T W`` within
+    ``LEVEL_TOL``, compared in sqrt(w) coordinates where it is an
+    orthogonal projector.  The bases themselves may differ: a basis inside
+    a level is free, and levels with repeated Gram eigenvalues have no
+    preferred one."""
     for k in range(0, X.top_dim + 1):
         f = _random_cochain(X, k, rng)
         got = proper_decompose(X, f)
@@ -240,12 +236,12 @@ def _assert_matches_complete_route(X, rng, mass_tol):
             gap = Cochain(X, k, got.components[i].values - want.components[i].values)
             assert np.sqrt(norm_sq(X, gap)) <= LEVEL_TOL * max(1.0, np.sqrt(nsq))
         bases = oracle.proper_bases_complete(X, k)
-        for i in range(-1, k):
-            assert np.array_equal(proper_level_basis(X, k, i), bases[i])
         s = np.sqrt(weight_vector(X, k))[:, None]
-        top = proper_level_basis(X, k, k)
-        assert top.shape == bases[k].shape
-        assert np.all(np.abs(top * s - bases[k] * s) <= TOP_BASIS_TOL)
+        for i in range(-1, k + 1):
+            B = proper_level_basis(X, k, i) * s
+            C = bases[i] * s
+            assert B.shape == C.shape
+            assert np.max(np.abs(B @ B.T - C @ C.T), initial=0.0) <= LEVEL_TOL
 
 
 def test_proper_decompose_matches_complete_route(all_fixtures, skewed83):
@@ -258,8 +254,8 @@ def test_proper_decompose_matches_complete_route(all_fixtures, skewed83):
 @given(X=oracle.weighted_pure_complexes(), seed=st.integers(0, 2**32 - 1))
 def test_proper_decompose_matches_complete_route_property(X, seed):
     # each route's masses carry a few ulps of |f|^2 of rounding (up to
-    # 8.1e-16 off the exact mass for the complete route at k = 0), so over
-    # many draws their difference reaches 1.2e-15
+    # 8.7e-16 off a 40-digit reference for the complete route at k = 0), so
+    # over 300 draws their difference reaches 1.5e-15
     _assert_matches_complete_route(X, np.random.default_rng(seed), 2e-15)
 
 
@@ -295,6 +291,103 @@ def test_proper_level_dimensions_sum_to_face_count_property(X):
     for k in range(-1, X.top_dim + 1):
         dims = [proper_level_basis(X, k, i).shape[1] for i in range(-1, k + 1)]
         assert sum(dims) == X.n_faces(k)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(X=oracle.weighted_pure_complexes())
+def test_proper_level_dimensions_ignore_weights_property(X):
+    # the lifts are uniform averages, so no rank may depend on the weights:
+    # spreads up to 12 decades give the level dimensions of the same facets
+    # weighted uniformly
+    U = build_complex(X.faces(X.top_dim))
+    for k in range(-1, X.top_dim + 1):
+        for i in range(-1, k + 1):
+            assert proper_level_basis(X, k, i).shape == proper_level_basis(U, k, i).shape
+
+
+def _skewed_complete(n, d, decades, seed=0):
+    facets = list(combinations(range(n), d + 1))
+    weights = 10 ** np.random.default_rng(seed).uniform(-decades, 0, len(facets))
+    return build_complex(facets, list(weights))
+
+
+def test_rank_cut_sits_in_a_gap(monkeypatch, all_fixtures, skewed83):
+    # the flag keeps a direction of a lift when its squared singular value
+    # off the stack, the exact Gram eigenvalue, is above the rank cut
+    # (max(shape) eps |A|_F)^2, the thin SVD's cut squared.  Every one it
+    # keeps is at least 1e3 times the cut and every one it drops at most
+    # 1e-1 times it (measured: 1.3e16 and 8.6e-5 on skewed83, 1.3e9 and
+    # 1.7e-4 over eight draws of complete(8,3) at 20 decades), so no rank
+    # decision rests on rounding.  The eigenvalues come from an SVD here,
+    # which resolves them far below eps |G|.  Measured on fresh copies,
+    # whose stacks are not cached yet.
+    calls = []
+    original = level_decomp._range_basis
+
+    def recording(A, Q):
+        B = original(A, Q)
+        calls.append((A, Q, B))
+        return B
+
+    monkeypatch.setattr(level_decomp, "_range_basis", recording)
+    inputs = [X for _, X in all_fixtures] + [skewed83]
+    inputs = [build_complex(X.faces(X.top_dim), list(weight_vector(X, X.top_dim))) for X in inputs]
+    for X in inputs + [_skewed_complete(12, 3, 12), _skewed_complete(8, 3, 20)]:
+        calls.clear()
+        for k in range(-1, X.top_dim + 1):
+            level_decomp._range_bases(X, k)
+        assert calls
+        for A, Q, B in calls:
+            cut = (max(A.shape) * np.finfo(float).eps) ** 2 * np.vdot(A, A)
+            for _ in range(2):
+                A = A - Q @ (Q.T @ A)
+            lam = np.linalg.svd(A, compute_uv=False) ** 2
+            assert np.sum(lam > cut) == B.shape[1]
+            assert np.all(lam[lam > cut] >= 1e3 * cut)
+            assert np.all(lam[lam <= cut] <= 0.1 * cut)
+
+
+@pytest.mark.parametrize("decades", [16, 20, 24])
+def test_level_dimensions_ignore_weights_beyond_12_decades(decades):
+    # one eigensolve resolves a Gram's eigenvalues only to eps |G|, and on
+    # complete(8,3) with weights spread over 16 decades the new part of the
+    # lift from the 2-faces has directions below that (a single pass lost
+    # one in 4 of 8 draws, 2 or 3 in 6 of 8 at 18 decades and 2 to 5 in all
+    # 8 at 20); the passes on what is left find them, so the level
+    # dimensions are those of the uniform complex and the stack stays
+    # orthonormal
+    U = build_complex(generate("complete", n=8, d=3).facets)
+    for seed in range(4):
+        X = _skewed_complete(8, 3, decades, seed)
+        for k in range(-1, 4):
+            Q, starts = level_decomp._range_bases(X, k)
+            assert starts == level_decomp._range_bases(U, k)[1]
+            assert np.max(np.abs(Q.T @ Q - np.eye(Q.shape[1])), initial=0.0) <= 1e-13
+
+
+def test_range_stack_orthonormal_under_skewed_weights(skewed83):
+    # L^-1/2 amplifies rounding along weak directions: B projected off the
+    # stack and one Newton-Schulz step keep both stacks within 1.4e-15; with
+    # no projection of B skewed83's was off by 8.9e-12, with no
+    # Newton-Schulz step by 1.5e-9
+    for X in (skewed83, _skewed_complete(12, 3, 12)):
+        for k in range(-1, X.top_dim + 1):
+            Q, _ = level_decomp._range_bases(X, k)
+            assert np.max(np.abs(Q.T @ Q - np.eye(Q.shape[1])), initial=0.0) <= 1e-13
+
+
+def test_range_bases_take_no_svd(monkeypatch):
+    # the flag comes from symmetric eigensolves of each lift's Gram matrix;
+    # the thin SVD is the oracle's route
+    def refuse(*args, **kwargs):
+        raise AssertionError("SVD taken")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    X = generate("complete", n=8, d=3)
+    for k in range(-1, 4):
+        Q, starts = level_decomp._range_bases(X, k)
+        assert Q.shape[1] == starts[-1]
+    assert sum(proper_level_basis(X, 3, i).shape[1] for i in range(-1, 4)) == X.n_faces(3)
 
 
 def test_complement_edge_cases():
@@ -391,9 +484,8 @@ def test_proper_bases_under_skewed_weights():
     # facet weights spread over twelve decades must not change the level
     # dimensions, which depend only on the face structure, nor break the
     # W-orthonormality of the combined basis
-    facets = list(combinations(range(12), 4))
-    weights = 10 ** np.random.default_rng(0).uniform(-12, 0, len(facets))
-    for X in (build_complex(facets), build_complex(facets, list(weights))):
+    skewed = _skewed_complete(12, 3, 12)
+    for X in (build_complex(skewed.faces(3)), skewed):
         bases = [proper_level_basis(X, 3, i) for i in range(-1, 4)]
         assert [B.shape[1] for B in bases] == [1, 11, 54, 154, 275]
         B = np.hstack(bases)

@@ -326,6 +326,24 @@ def test_trickling_residual_matches_per_sample_route(all_fixtures, skewed83):
     assert trickling_down_check(skewed83, samples=-3).advantage_residual == 0.0
 
 
+def test_trickling_identity_tolerance_scales_with_the_samples(all_fixtures, skewed83):
+    # both sides of the identity average the Gaussian samples, so its
+    # tolerance is 1e-12 of the block's largest entry, and the CLI slack is
+    # measured against that same tolerance
+    from hdxwalk.cli import _verify_cases
+
+    for _, X in all_fixtures + [("skewed_complete83", skewed83)]:
+        if X.top_dim < 2:
+            continue
+        for samples in (0, 1, 50):
+            rep = trickling_down_check(X, samples=samples, seed=9)
+            F = np.random.default_rng(9).standard_normal((samples, X.n_faces(0)))
+            assert rep.advantage_tol == 1e-12 * np.max(np.abs(F), initial=0.0)
+            assert rep.advantage_residual <= rep.advantage_tol
+            cases = dict(_verify_cases(X, "trickling", samples, 9))
+            assert cases["advantage-identity"] == rep.advantage_tol - rep.advantage_residual
+
+
 def test_trickling_down_tight(c42):
     rep = trickling_down_check(c42)
     assert rep.lambda_local == pytest.approx(-0.5, abs=1e-9)
