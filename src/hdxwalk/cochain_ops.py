@@ -2,20 +2,20 @@
 
 A ``k``-cochain is a real vector over the canonically ordered ``k``-faces,
 paired with the weighted inner product ``<f, g> = sum_s w(s) f(s) g(s)``.
-The one-step averaging operator ``diff`` (signless differential ``d_k``) and
-its exact adjoint ``adjoint_diff`` (``d*_k``) generate everything else:
-multi-step averages, the up-down and down-up walks, and the non-lazy walk.
+The multi-step averages ``multi_up`` (``d_{k+i-1} ... d_k``) and their
+exact adjoints ``multi_down`` generate everything else: ``diff`` and
+``adjoint_diff`` (``d_k`` and ``d*_k``) are their one-step case, and they
+give the up-down, down-up and non-lazy walks.
 
 Every operator is materialized as a dense matrix (rows indexed by target
 faces, columns by source faces); the complexes here are desk scale, which
 keeps adjointness and spectrum checks exact to near machine precision.
-``diff``, ``adjoint_diff`` and the non-lazy walk are written by one numpy
-scatter over the subface index array ``complex_core._sub``; each multi-step
-walk is one step composed with its cached walk one step shorter, and the
-up-down/down-up walks are products of those.  Each operator
-has this one route here; the loop-based entrywise tables and the second
-routes of walk identities that the tests compare them against live in
-``tests/oracle.py``.  ``weight_vector`` is re-exported from complex_core.
+Each lift, its adjoint and the non-lazy walk is its closed form, one numpy
+scatter over a subface array ``complex_core._subfaces``; only the
+up-down/down-up walks are products.  Each operator has this one route
+here; the loop-based entrywise tables and the second routes of walk
+identities that the tests compare them against live in ``tests/oracle.py``.
+``weight_vector`` is re-exported from complex_core.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .complex_core import (
     _cached_op,
     _over,
     _sub,
+    _subfaces,
     canonical_face,
     link_of,
     weight_vector,
@@ -114,10 +115,6 @@ def _compose(A: LinOp, B: LinOp) -> LinOp:
     return LinOp(B.source_dim, A.target_dim, A.matrix @ B.matrix)
 
 
-def _identity_op(X, k) -> LinOp:
-    return LinOp(k, k, np.eye(X.n_faces(k)))
-
-
 def _same_space(X, f: Cochain):
     if f.complex is X:
         return
@@ -170,14 +167,7 @@ def diff(X, k) -> LinOp:
     """
     if not -1 <= k <= X.top_dim - 1:
         raise ComplexError(f"diff needs -1 <= k < {X.top_dim}, got {k}")
-
-    def build():
-        sub = _sub(X, k + 1)
-        mat = np.zeros((len(sub), X.n_faces(k)))
-        mat[np.arange(len(sub))[:, None], sub] = 1.0 / (k + 2)
-        return LinOp(k, k + 1, mat)
-
-    return _cached_op(X, ("diff", k), build)
+    return multi_up(X, k, 1)
 
 
 def adjoint_diff(X, k) -> LinOp:
@@ -188,45 +178,41 @@ def adjoint_diff(X, k) -> LinOp:
     """
     if not -1 <= k <= X.top_dim - 1:
         raise ComplexError(f"adjoint_diff needs -1 <= k < {X.top_dim}, got {k}")
-
-    def build():
-        sub = _sub(X, k + 1)
-        mat = np.zeros((X.n_faces(k), len(sub)))
-        # w_tau(sigma \ tau) = w(sigma) / ((k+2) w(tau)) for tau in sub[sigma]
-        mat[sub, np.arange(len(sub))[:, None]] = weight_vector(X, k + 1)[:, None] / (
-            (k + 2) * weight_vector(X, k)[sub]
-        )
-        return LinOp(k + 1, k, mat)
-
-    return _cached_op(X, ("adjoint_diff", k), build)
+    return multi_down(X, k, 1)
 
 
 def multi_up(X, k, i) -> LinOp:
-    """Composition ``d_{k+i-1} ... d_k`` lifting k-cochains to (k+i)-cochains:
-    ``d_{k+i-1}`` after the cached ``multi_up(X, k, i-1)``."""
+    """The average ``d_{k+i-1} ... d_k`` lifting k-cochains to (k+i)-cochains:
+    the uniform mean over the k-subfaces of each (k+i)-face, the identity
+    at ``i = 0``."""
     if i < 0 or not -1 <= k or k + i > X.top_dim:
         raise ComplexError(f"multi_up range violation: k={k}, i={i}, d={X.top_dim}")
-    if i == 0:
-        return _identity_op(X, k)
-    if i == 1:
-        return diff(X, k)
-    return _cached_op(
-        X, ("multi_up", k, i), lambda: _compose(diff(X, k + i - 1), multi_up(X, k, i - 1))
-    )
+
+    def build():
+        sub = _subfaces(X, k + i, k)
+        mat = np.zeros((len(sub), X.n_faces(k)))
+        mat[np.arange(len(sub))[:, None], sub] = 1.0 / sub.shape[1]
+        return LinOp(k, k + i, mat)
+
+    return _cached_op(X, ("multi_up", k, i), build)
 
 
 def multi_down(X, k, i) -> LinOp:
-    """Composition ``d*_k ... d*_{k+i-1}`` dropping (k+i)-cochains to k:
-    ``d*_k`` after the cached ``multi_down(X, k+1, i-1)``."""
+    """The W-adjoint ``d*_k ... d*_{k+i-1}`` of :func:`multi_up`, dropping
+    (k+i)-cochains to k: each (k+i)-face t sends
+    ``w(t) / (C(k+i+1, k+1) w(s))`` to each of its k-subfaces s."""
     if i < 0 or not -1 <= k or k + i > X.top_dim:
         raise ComplexError(f"multi_down range violation: k={k}, i={i}, d={X.top_dim}")
-    if i == 0:
-        return _identity_op(X, k)
-    if i == 1:
-        return adjoint_diff(X, k)
-    return _cached_op(
-        X, ("multi_down", k, i), lambda: _compose(adjoint_diff(X, k), multi_down(X, k + 1, i - 1))
-    )
+
+    def build():
+        sub = _subfaces(X, k + i, k)
+        mat = np.zeros((X.n_faces(k), len(sub)))
+        mat[sub, np.arange(len(sub))[:, None]] = weight_vector(X, k + i)[:, None] / (
+            sub.shape[1] * weight_vector(X, k)[sub]
+        )
+        return LinOp(k + i, k, mat)
+
+    return _cached_op(X, ("multi_down", k, i), build)
 
 
 def up_down(X, k, i=1) -> LinOp:

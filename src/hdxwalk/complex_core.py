@@ -17,8 +17,9 @@ through :func:`_cached_op`, without a lock, and every array the memo holds
 is read-only (:func:`_read_only`).
 
 Faces are found by integer keys (:func:`_keys`), and downward incidence is
-one int array per dimension (:func:`_sub`), from which the operators and
-link spectra are scattered; :func:`_closure` builds both with the complex.
+one int array per pair of dimensions (:func:`_subfaces`), from which every
+operator and the link spectra are scattered; :func:`_closure` builds the
+keys and the one-step arrays (:func:`_sub`) with the complex.
 Links are read off the rank rows: the k-faces over a face sigma are the
 rows of ``_rows(X, k)`` that hold every rank of sigma, found by one mask
 (:func:`_over`).  Removing sigma from the sets that contain it keeps
@@ -288,8 +289,8 @@ def _closure(facets, facet_weights):
     normalized by their ``math.fsum``, and the weights of a level are one
     ``bincount`` over those faces: the normalized facet weights over each
     face added in facet order from 0.0, as a dict closure adds them.  The
-    stored arrays (vertex ids, rank rows, weights), the subface arrays
-    (:func:`_sub`) and the face keys all fall out of the same pass.
+    stored arrays (vertex ids, rank rows, weights), the one-step subface
+    arrays (:func:`_sub`) and the face keys all fall out of the same pass.
     """
     m, width = facets.shape
     d = width - 1
@@ -324,7 +325,7 @@ def _closure(facets, facet_weights):
         f, c = np.divmod(rep, len(combos))
         rows[k] = ranks[f[:, None], cols[c]]
         cached[("keys", k)] = keys
-        cached[("sub", k)] = inv[f[:, None], drop[c]]
+        cached[("sub", k, k - 1)] = inv[f[:, None], drop[c]]
         over = np.bincount(subset_face, np.repeat(top, len(combos)), len(keys))
         weights[k] = over / math.comb(width, k + 1)
         inv = subset_face.reshape(m, len(combos))
@@ -422,20 +423,24 @@ def _positions(X, faces):
     return _find(X, _locate(_vertex_ids(X), faces))
 
 
-def _sub(X, k):
-    """The subface index array of dimension ``k`` (0 <= k <= top_dim): an
-    int array of shape (n_k, k+1) whose column ``c`` holds the position in
-    ``X.faces(k-1)`` of each k-face minus its c-th vertex, found by key
-    (KeyError when one is missing).  Cached under ``("sub", k)``, where
-    :func:`_closure` leaves its own; the operators of
-    :mod:`hdxwalk.cochain_ops` and the link spectra of
-    :mod:`hdxwalk.spectral` are scattered from it."""
+def _subfaces(X, k, j):
+    """Positions in ``X.faces(j)`` of the j-subfaces of every k-face, -1 <= j
+    <= k: an (n_k, C(k+1, j+1)) int array, one column per set of kept vertex
+    columns in reverse lexicographic order, so at j = k-1 column ``c`` drops
+    the c-th vertex; found by key (KeyError when one is missing).  Cached
+    under ``("sub", k, j)``, where :func:`_closure` leaves those of j = k-1."""
 
     def build():
-        rows = _rows(X, k)
-        return np.stack([_find(X, np.delete(rows, c, axis=1)) for c in range(k + 1)], axis=1)
+        kept = reversed(list(combinations(range(k + 1), j + 1)))
+        return np.stack([_find(X, _rows(X, k)[:, list(c)]) for c in kept], axis=1)
 
-    return _cached_op(X, ("sub", k), build)
+    return _cached_op(X, ("sub", k, j), build)
+
+
+def _sub(X, k):
+    """``_subfaces(X, k, k-1)``, 0 <= k <= top_dim: column ``c`` holds each
+    k-face minus its c-th vertex; the walks and link spectra scatter over it."""
+    return _subfaces(X, k, k - 1)
 
 
 def _over(X, sigma, k):

@@ -40,6 +40,7 @@ import numpy as np
 from .complex_core import ComplexError, _cached_op, _find, _over, canonical_face, link_of
 from .cochain_ops import (
     Cochain,
+    _same_space,
     localize,
     multi_up,
     norm_sq,
@@ -62,6 +63,7 @@ __all__ = [
 def _restrict(X, f: Cochain, sigma) -> Cochain:
     """Restriction ``f|_sigma(t) = f(t)`` on the link of ``sigma``; the
     dimension does not change."""
+    _same_space(X, f)
     sigma = canonical_face(sigma)
     if sigma not in X:
         raise ComplexError(f"face {sigma} is not in the complex")
@@ -166,9 +168,12 @@ def _complement(Q):
     del h  # an n x r array the rest does not need
     diag = np.arange(r)
     Y[diag, diag] = 1.0
-    A = tau[:, None] * np.triu(Y.T @ Y, 1)
+    A = Y.T @ Y  # made I + diag(tau) striu(Y^T Y) in place
+    A[np.tri(r, dtype=bool)] = 0.0
+    A *= tau[:, None]
     A[diag, diag] = 1.0
-    C = Y @ np.linalg.solve(A, tau[:, None] * Y[r:].T)
+    A = np.linalg.solve(A, tau[:, None] * Y[r:].T)  # T Y[r:]^T; the system is freed
+    C = Y @ A
     # 0 - x rather than -x: exact zeros stay +0.0, as the complete QR gives them
     np.subtract(0.0, C, out=C)
     C[np.arange(r, n), np.arange(n - r)] += 1.0
@@ -259,6 +264,7 @@ def proper_decompose(X, f: Cochain) -> LevelDecomposition:
     ``B_i``.  The constant part is what the levels 0..k leave over, so the
     components sum to ``f`` exactly.
     """
+    _same_space(X, f)
     k = f.dim
     Q, _ = _range_bases(X, k)
     w = weight_vector(X, k)

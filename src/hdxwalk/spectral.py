@@ -11,7 +11,7 @@ non-lazy vertex walk on its link (cache key ``("link_lambda2", j)``).  It
 builds no link complex.  The symmetrized link walk has the closed form
 ``w(s+uv) / ((j+3) sqrt(w(s+u) w(s+v)))``, so the walks of all links are
 scattered from the subface arrays ``_sub(X, j+1)`` and ``_sub(X, j+2)``
-(cache keys ``("sub", k)``) and the weights, and diagonalized in one
+(cache keys ``("sub", k, k-1)``) and the weights, and diagonalized in one
 batched call per link size.  Connectivity is decided combinatorially on
 the same edges; ``is_connected`` and ``random_pure`` in
 :mod:`hdxwalk.cli_io` use that test too.

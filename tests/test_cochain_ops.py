@@ -7,9 +7,11 @@ import oracle
 from hdxwalk import (
     Cochain,
     ComplexError,
+    LinOp,
     adjoint_diff,
     diff,
     down_up,
+    generate,
     inner_product,
     link_of,
     localize,
@@ -162,17 +164,6 @@ def test_adjoint_localizes(all_fixtures):
                     assert np.allclose(left.values, right.values, atol=TOL)
 
 
-def test_multi_vs_closed_form(all_fixtures):
-    for _, X in all_fixtures:
-        d = X.top_dim
-        for k in range(-1, d + 1):
-            for i in range(0, d - k + 1):
-                up = multi_up(X, k, i).matrix
-                dn = multi_down(X, k, i).matrix
-                assert np.allclose(up, oracle.multi_up_matrix_loops(X, k, i), atol=TOL)
-                assert np.allclose(dn, oracle.multi_down_matrix_loops(X, k, i), atol=TOL)
-
-
 def test_multi_single_step_reduction(c42):
     assert np.allclose(multi_up(c42, 0, 1).matrix, diff(c42, 0).matrix, atol=TOL)
     assert np.allclose(multi_down(c42, 0, 1).matrix, adjoint_diff(c42, 0).matrix, atol=TOL)
@@ -292,11 +283,18 @@ def test_all_walks_fix_constants(all_fixtures):
 
 def test_operators_equal_loop_routes(all_fixtures, skewed83):
     # the scatters over the subface arrays against the defining loops, one
-    # basis cochain at a time; entries are at most 1, so 1e-15 is rounding
+    # basis cochain at a time, and every lift and its adjoint against its
+    # closed form; entries are at most 1, so 1e-15 is rounding
     def by_columns(apply, X, k, n):
         return np.array([apply(X, k, e) for e in np.eye(n)]).T
 
     for _, X in all_fixtures + [("skewed_complete83", skewed83)]:
+        for k in range(-1, X.top_dim + 1):
+            for i in range(0, X.top_dim - k + 1):
+                expect = oracle.multi_up_matrix_loops(X, k, i)
+                assert np.max(np.abs(multi_up(X, k, i).matrix - expect)) <= 1e-15
+                expect = oracle.multi_down_matrix_loops(X, k, i)
+                assert np.max(np.abs(multi_down(X, k, i).matrix - expect)) <= 1e-15
         for k in range(-1, X.top_dim):
             expect = by_columns(oracle.diff_loops, X, k, X.n_faces(k))
             assert np.max(np.abs(diff(X, k).matrix - expect)) <= 1e-15
@@ -305,3 +303,17 @@ def test_operators_equal_loop_routes(all_fixtures, skewed83):
         for k in range(0, X.top_dim):
             expect = oracle.nonlazy_matrix_loops(X, k)
             assert np.max(np.abs(nonlazy(X, k).matrix - expect)) <= 1e-15
+
+
+def test_each_lift_is_one_memo_entry():
+    # the longest lift and its adjoint are one scatter each: building
+    # either adds its own operator to the memo and no shorter one
+    X = generate("complete", n=6, d=3)
+
+    def n_ops():
+        return sum(isinstance(v, LinOp) for v in X._cache.values())
+
+    for build in (lambda: multi_up(X, -1, 4), lambda: multi_down(X, 0, 3)):
+        before = n_ops()
+        build()
+        assert n_ops() == before + 1

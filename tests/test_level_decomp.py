@@ -105,6 +105,21 @@ def test_restriction_copies_values(c42):
         view(RESTRICTION, c42, Cochain.ones(c42, 2), (3,))
 
 
+def test_cochain_from_another_complex_is_rejected():
+    # f has other faces than X at its dimension, as many or more: the
+    # viewers and proper_decompose refuse it rather than read its values
+    # by X's faces
+    X = generate("complete", n=5, d=2)
+    f = Cochain.ones(generate("complete", n=6, d=2), 1)
+    shifted = build_complex([[v + 1 for v in F] for F in X.facets])
+    for viewer in (RESTRICTION, LOCALIZATION):
+        with pytest.raises(ComplexError, match="does not live"):
+            view(viewer, X, f, (0,))
+    for g in (f, Cochain.ones(shifted, 2)):
+        with pytest.raises(ComplexError, match="does not live"):
+            proper_decompose(X, g)
+
+
 def test_respects_walk_residual(all_fixtures):
     rng = np.random.default_rng(12)
     for _, X in all_fixtures:
