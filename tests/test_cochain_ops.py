@@ -281,13 +281,9 @@ def test_all_walks_fix_constants(all_fixtures):
                 assert np.allclose(op(ones).values, 1.0, atol=TOL)
 
 
-def test_operators_equal_loop_routes(all_fixtures, skewed83):
-    # the scatters over the subface arrays against the defining loops, one
-    # basis cochain at a time, and every lift and its adjoint against its
-    # closed form; entries are at most 1, so 1e-15 is rounding
-    def by_columns(apply, X, k, n):
-        return np.array([apply(X, k, e) for e in np.eye(n)]).T
-
+def test_multi_vs_closed_form(all_fixtures, skewed83):
+    # every lift and its adjoint against its closed form; entries are at
+    # most 1, so 1e-15 is rounding
     for _, X in all_fixtures + [("skewed_complete83", skewed83)]:
         for k in range(-1, X.top_dim + 1):
             for i in range(0, X.top_dim - k + 1):
@@ -295,6 +291,15 @@ def test_operators_equal_loop_routes(all_fixtures, skewed83):
                 assert np.max(np.abs(multi_up(X, k, i).matrix - expect)) <= 1e-15
                 expect = oracle.multi_down_matrix_loops(X, k, i)
                 assert np.max(np.abs(multi_down(X, k, i).matrix - expect)) <= 1e-15
+
+
+def test_operators_equal_loop_routes(all_fixtures, skewed83):
+    # the scatters over the subface arrays against the defining loops, one
+    # basis cochain at a time; entries are at most 1, so 1e-15 is rounding
+    def by_columns(apply, X, k, n):
+        return np.array([apply(X, k, e) for e in np.eye(n)]).T
+
+    for _, X in all_fixtures + [("skewed_complete83", skewed83)]:
         for k in range(-1, X.top_dim):
             expect = by_columns(oracle.diff_loops, X, k, X.n_faces(k))
             assert np.max(np.abs(diff(X, k).matrix - expect)) <= 1e-15
