@@ -13,21 +13,34 @@ flag ``R_{-1} <= R_0 <= ... <= R_{k-1}`` (``R_{-1}`` the constants), so one
 block Gram-Schmidt over it gives every proper level ``R_i - R_{i-1}`` below
 the top and the orthogonal decomposition ``f = f_{-1} + f_0 + ... + f_k``.
 
-The flag is cached once, as the ``sqrt(w)``-scaled stack of levels -1..k-1
-and the column where each starts.  Each level below the top comes from one
-symmetric eigensolve of the Gram matrix of its lift projected off the
-stack, and from further ones on what is left where skewed weights make
-directions weaker than one eigensolve resolves; with the lift's columns
-scaled by ``w^-1/2``, the Gram of the whole lift is the symmetrized
-up-down walk, of norm 1.  Within a level the basis runs along that Gram's
-eigenvectors, strongest first, and is otherwise free: where eigenvalues
-repeat, rounding picks it.  The top level k is the
-stack's complement; its basis is read off the Householder vectors of the
-stack's own QR (one triangular solve and one product, no ``n_k x n_k``
-factor), and is built only when a caller asks for it
-(``proper_level_basis(X, k, k)``, ``level_space``, the certificates' level
-masses).  :func:`proper_decompose` never does: its top component is
-``sqrt(w) f`` projected off the stack twice.
+The flag lives in the coordinates of range(A) = ``R_{k-1}`` for the top
+lift ``A = sqrt(W_k) diff(X, k-1) W_(k-1)^-1/2``, an ``n_k x n_(k-1)``
+matrix with ``k+1`` entries a row.  Its Gram ``G = A^T A`` is the
+symmetrized up-down walk, of norm 1, one ``bincount`` over the subface
+pairs of the k-faces, and one symmetric eigensolve of G gives an
+orthonormal basis ``U = A P`` of range(A); directions weaker than that
+eigensolve resolves go to further ones on what is left, with a row per
+k-face (:func:`_top_range`).  In the coordinates ``c = U^T x`` level
+i < k-1 is the new part of the lift ``U^T A L_i``, with ``L_i`` the lift
+from level i to the (k-1)-faces, from one eigensolve of its Gram projected
+off the levels below (:func:`_range_basis`); within such a level the basis
+runs along that Gram's eigenvectors, strongest first, and is otherwise
+free: where eigenvalues repeat, rounding picks it.  Level k-1 is what the
+lower levels leave of range(A).  ``U^T`` is one ``bincount`` and ``U`` one
+gather, so the flag (:func:`_flag`) and :func:`proper_decompose` build no
+lift or stack with a row per k-face, and a basis with one only for the weak
+directions (none on uniform complexes); the top component is ``sqrt(w) f``
+less its part in range(A), taken twice.
+
+The ``sqrt(w)``-scaled stack of levels -1..k-1 with a row per k-face, which
+the level bases and the certificates read, is the flag taken to k-face
+rows by one gather (:func:`_range_bases`), level k-1 being the complement
+of the lower levels in c-coordinates.  The top level k is the stack's
+complement; its basis is read off the Householder vectors of the stack's
+own QR (one triangular solve and one product, no ``n_k x n_k`` factor),
+and is built only when a caller asks for it
+(``proper_level_basis(X, k, k)``, ``level_space``, the ``verify``
+fixtures).
 """
 
 from __future__ import annotations
@@ -37,7 +50,15 @@ from typing import Callable
 
 import numpy as np
 
-from .complex_core import ComplexError, _cached_op, _find, _over, canonical_face, link_of
+from .complex_core import (
+    ComplexError,
+    _cached_op,
+    _find,
+    _over,
+    _sub,
+    canonical_face,
+    link_of,
+)
 from .cochain_ops import (
     Cochain,
     _same_space,
@@ -113,41 +134,151 @@ class LevelBasis:
         return self.vectors.shape[1]
 
 
-def _range_basis(A, Q):
-    """Orthonormal basis of the part of range(A) orthogonal to the
-    orthonormal columns Q, strongest direction first.
+# the share of its norm above which an eigenvalue of the top Gram is taken
+# in (k-1)-face coordinates (see _top_range)
+STRONG = 1e-2
 
-    Each pass projects A off Q and the blocks found so far and takes one
-    ``eigh`` of its Gram ``G = A^T A``.  ``eigh`` resolves eigenvalues only
-    to about eps |G|, so a pass keeps those above ``sqrt(eps) |G|``: there
-    the thin SVD's left factor ``B = A V L^-1/2`` is orthonormal to within
-    sqrt(eps), and one Newton-Schulz step ``B (3 I - B^T B) / 2`` takes it
-    to rounding.  ``L^-1/2`` amplifies the rounding A keeps in the stack,
-    so B is projected off it first.  The eigenvectors below that leave
-    ``A V`` for the next pass, whose Gram is smaller.  The passes end when
-    what is left has ``|A|_F^2`` at most the rank cut
-    ``(max(shape) eps |A|_F)^2`` of the original A, the thin SVD's cut
-    squared, or when a pass finds nothing above it.  One pass takes every
-    direction of the lifts of uniform complexes.  Skewed weights make
-    weaker ones: on complete(8,3) with facet weights spread over 6 decades
-    a few lifts take a second pass, over 20 decades some take a third.
+
+def _passes(A, off, cut):
+    """Orthonormal basis of range(off(A)), strongest direction first, where
+    ``off`` projects a block off a fixed orthonormal set and the directions
+    kept are those above ``cut``.
+
+    Each pass projects A off that set and the blocks found so far and takes
+    one ``eigh`` of its Gram ``G = A^T A``.  ``eigh`` resolves eigenvalues
+    only to about eps |G|, so a pass keeps those above ``sqrt(eps) |G|``:
+    there the thin SVD's left factor ``B = A V L^-1/2`` is orthonormal to
+    within sqrt(eps), and one Newton-Schulz step ``B (3 I - B^T B) / 2``
+    takes it to rounding.  ``L^-1/2`` amplifies the rounding A keeps along
+    the set, so B is projected off it first.  The eigenvectors below that
+    leave ``A V`` for the next pass, whose Gram is smaller.  The passes end
+    when what is left has ``|A|_F^2`` at most ``cut``, or when a pass finds
+    nothing above it.
     """
     eps = np.finfo(float).eps
-    cut = (max(A.shape) * eps) ** 2 * np.vdot(A, A)
     blocks = []
+
+    def project(B):
+        B = off(B)
+        for P in blocks:
+            B = B - P @ (P.T @ B)
+        return B
+
     while np.vdot(A, A) > cut:
-        for P in [Q, *blocks]:
-            A = A - P @ (P.T @ A)
+        A = project(A)
         lam, V = np.linalg.eigh(A.T @ A)
         keep = np.flatnonzero(lam > max(cut, np.sqrt(eps) * lam.max(initial=0.0)))[::-1]
         if not len(keep):
             break
-        B = A @ (V[:, keep] / np.sqrt(lam[keep]))
+        B = project(A @ (V[:, keep] / np.sqrt(lam[keep])))
         A = A @ V[:, : keep[-1]]  # what is left, and the lift is freed
-        for P in [Q, *blocks]:
-            B -= P @ (P.T @ B)
         blocks.append(B @ (1.5 * np.eye(len(keep)) - 0.5 * (B.T @ B)))
     return np.hstack([A[:, :0], *blocks])
+
+
+def _range_basis(A, Q):
+    """Orthonormal basis of the part of range(A) orthogonal to the
+    orthonormal columns Q, strongest direction first: :func:`_passes` with
+    the rank cut ``(max(shape) eps |A|_F)^2`` of the original A, the thin
+    SVD's cut squared.  One pass takes every direction of the lifts of
+    uniform complexes.  Skewed weights make weaker ones: on complete(8,3)
+    with facet weights spread over 6 decades a few lifts take a second
+    pass, over 20 decades some take a third.
+    """
+    cut = (max(A.shape) * np.finfo(float).eps) ** 2 * np.vdot(A, A)
+    return _passes(A, lambda B: B - Q @ (Q.T @ B), cut)
+
+
+def _top_lift(X, k):
+    """``(sub, a)`` for ``A = sqrt(W_k) diff(X, k-1) W_(k-1)^-1/2``, k >= 0:
+    A has the entry ``a[t, c]`` at ``(t, sub[t, c])`` and no other, with
+    ``sub = _sub(X, k)``."""
+    sub = _sub(X, k)
+    w = weight_vector(X, k - 1)
+    return sub, np.sqrt(weight_vector(X, k))[:, None] / ((k + 1) * np.sqrt(w[sub]))
+
+
+def _gather(sub, a, Y):
+    """``A Y`` for Y with a row per (k-1)-face: one gather per column of
+    ``sub``."""
+    a = a.reshape(a.shape + (1,) * (Y.ndim - 1))
+    out = Y[sub[:, 0]]
+    out *= a[:, 0]
+    for c in range(1, sub.shape[1]):
+        part = Y[sub[:, c]]
+        part *= a[:, c]
+        out += part
+    return out
+
+
+def _scatter(sub, a, Z, m):
+    """``A^T Z`` for Z with a row per k-face: one ``bincount`` over the
+    entries of A and the columns of Z."""
+    Z2 = Z.reshape(len(Z), -1)
+    p = Z2.shape[1]
+    pos = (sub[:, :, None] * p + np.arange(p)).ravel()
+    out = np.bincount(pos, (a[:, :, None] * Z2[:, None, :]).ravel(), m * p)
+    return out.reshape((m,) + Z.shape[1:])
+
+
+def _coords(sub, a, P, W, Y):
+    """``U^T Y`` for the basis ``U = [A P, W]`` of :func:`_top_range`."""
+    return np.concatenate([P.T @ _scatter(sub, a, Y, len(P)), W.T @ Y])
+
+
+def _embed(sub, a, P, W, C):
+    """``U C`` for the basis ``U = [A P, W]`` of :func:`_top_range`."""
+    r = P.shape[1]
+    out = _gather(sub, a, P @ C[:r])
+    out += W @ C[r:]
+    return out
+
+
+def _top_range(X, k):
+    """An orthonormal basis ``U = [A P, W]`` of range(A), ``A`` as in
+    :func:`_top_lift`, k >= 0, as ``(P, W, lift)``, where ``lift(L)`` is
+    ``U^T A L`` for L with a row per (k-1)-face.
+
+    ``G = A^T A`` is the symmetrized up-down walk, of norm 1: one
+    ``bincount`` over the (k+1)^2 subface pairs of every k-face.  One
+    ``eigh`` of G gives its strong directions, eigenvalues at least
+    ``STRONG |G|``, as ``P = V L^-1/2`` with one Newton-Schulz step on
+    ``P^T G P``.  That Gram carries about eps |G| / L of rounding, so the
+    step takes ``A P`` to within about 1e-15 of orthonormal only where L
+    is strong.  The weaker directions of G, and those rounding hid in its
+    null space, go to the passes of :func:`_passes` as k-face rows ``A V``,
+    with A's thin-SVD rank cut, projected off ``A P`` through P; their
+    blocks are W.  Uniform complexes have none: complete, partite and
+    random_pure(30,2,900) complexes have no eigenvalue of G in (0, 0.04).
+    The rank decision is that of the lower levels' passes: a pass cut of
+    ``sqrt(eps) |G|`` at most, then passes on what is left down to the thin
+    SVD's cut squared.
+    """
+    sub, a = _top_lift(X, k)
+    m = X.n_faces(k - 1)
+    cut = (max(len(sub), m) * np.finfo(float).eps) ** 2 * np.vdot(a, a)
+    pairs = (sub[:, :, None] * m + sub[:, None, :]).ravel()
+    G = np.bincount(pairs, (a[:, :, None] * a[:, None, :]).ravel(), m * m).reshape(m, m)
+    lam, V = np.linalg.eigh(G)
+    strong = lam > max(cut, STRONG * lam.max(initial=0.0))
+    rest = _gather(sub, a, V[:, ~strong])
+    P = V[:, strong][:, ::-1] / np.sqrt(lam[strong][::-1])
+    del V
+    GP = G @ P
+    del G
+    N = 1.5 * np.eye(P.shape[1]) - 0.5 * (P.T @ GP)
+    P = P @ N
+
+    def off(B):  # B off range(A P): (A P)^T B = P^T A^T B
+        return B - _gather(sub, a, P @ (P.T @ _scatter(sub, a, B, m)))
+
+    W = _passes(rest, off, cut)
+    AW = _scatter(sub, a, W, m)
+
+    def lift(L):  # U^T A L, with A^T A P = G P N
+        return np.vstack([N.T @ (GP.T @ L), AW.T @ L])
+
+    return P, W, lift
 
 
 def _complement(Q):
@@ -180,29 +311,58 @@ def _complement(Q):
     return C
 
 
+def _flag(X, k):
+    """``(P, W, Qc, starts)``, k >= 0: the basis ``U = [A P, W]`` of
+    range(A) of :func:`_top_range` and, in its coordinates ``c = U^T x``,
+    the orthonormal stack ``Qc`` of the proper levels -1..k-2, level i
+    being ``Qc[:, starts[i+1]:starts[i+2]]``.  Level k-1 is what they leave
+    of range(A).
+
+    Level i's lift ``sqrt(W_k) multi_up(X, i, k-i) W_i^-1/2`` is ``A L_i``
+    with ``L_i = sqrt(W_(k-1)) multi_up(X, i, k-1-i) W_i^-1/2``, of
+    ``n_(k-1)`` rows, and in c-coordinates it is ``U^T A L_i``, of ``r``
+    rows, from which :func:`_range_basis` takes the level.  Projected off
+    the stack, that block has the Gram the lift has in ``sqrt(w)``
+    coordinates, so the levels and their bases are those of the k-face
+    lifts.  Cached under ``("flag", k)``.
+    """
+
+    def build():
+        P, W, lift = _top_range(X, k)
+        s = np.sqrt(weight_vector(X, k - 1))[:, None]
+        Qc = np.zeros((P.shape[1] + W.shape[1], 0))
+        starts = [0]
+        for i in range(-1, k - 1):
+            # scaled by w_i^-1/2 the lift's Gram is the symmetrized up-down
+            # walk, of norm 1: weak levels sit further above the rank cut
+            L = s * multi_up(X, i, k - 1 - i).matrix
+            L /= np.sqrt(weight_vector(X, i))
+            Qc = np.hstack([Qc, _range_basis(lift(L), Qc)])
+            starts.append(Qc.shape[1])
+        return P, W, Qc, tuple(starts)
+
+    return _cached_op(X, ("flag", k), build)
+
+
 def _range_bases(X, k):
     """The read-only ``sqrt(w)``-scaled stack ``Q`` of the proper levels
     -1..k-1 and ``starts``: level i is ``Q[:, starts[i+1]:starts[i+2]]``.
 
-    In ``sqrt(w)``-scaled coordinates level i < k is the new part of the
-    lift block ``multi_up(X, i, k-i)``.  The lifts are uniform averages, so
+    The flag of :func:`_flag`, with level k-1 the complement of its stack
+    in c-coordinates (:func:`_complement`, ``r`` rows), taken to k-face
+    rows by one gather, ``Q = U Qc``.  The lifts are uniform averages, so
     no rank depends on weights.  Cached under ``("range_bases", k)``.
     """
     if not -1 <= k <= X.top_dim:
         raise ComplexError(f"level bases need -1 <= k <= {X.top_dim}, got {k}")
 
     def build():
-        s = np.sqrt(weight_vector(X, k))[:, None]
-        Q = np.zeros((len(s), 0))
-        starts = [0]
-        for i in range(-1, k):
-            # scaled by w_i^-1/2 the lift's Gram is the symmetrized up-down
-            # walk, of norm 1: weak levels sit further above the rank cut
-            A = s * multi_up(X, i, k - i).matrix
-            A /= np.sqrt(weight_vector(X, i))
-            Q = np.hstack([Q, _range_basis(A, Q)])
-            starts.append(Q.shape[1])
-        return Q, tuple(starts)
+        if k < 0:
+            return np.zeros((1, 0)), (0,)
+        P, W, Qc, starts = _flag(X, k)
+        Qc = np.hstack([Qc, _complement(Qc)])
+        sub, a = _top_lift(X, k)
+        return _embed(sub, a, P, W, Qc), starts + (Qc.shape[1],)
 
     return _cached_op(X, ("range_bases", k), build)
 
@@ -257,32 +417,40 @@ class LevelDecomposition:
 def proper_decompose(X, f: Cochain) -> LevelDecomposition:
     """Split a k-cochain into proper level components, top level first.
 
-    The top level k is what the lower levels leave over: in ``sqrt(w)``
-    coordinates, ``r = sqrt(w) f`` projected off the range stack ``Q`` of
-    levels -1..k-1 twice, so no basis of level k is built.  Component
-    0 <= i < k is ``B_i B_i^T W f`` for the W-orthonormal proper basis
-    ``B_i``.  The constant part is what the levels 0..k leave over, so the
-    components sum to ``f`` exactly.
+    Everything runs in the coordinates ``c = U^T r`` of range(A) for
+    ``r = sqrt(w) f`` (:func:`_flag`), ``U^T`` one ``bincount`` and ``U``
+    one gather, so no k-face lift, stack or basis is built.  The top level
+    k is ``r`` less ``U c``, taken twice; the second pass also refines c.
+    Level k-1 is c projected off the stack of levels -1..k-2 twice, and
+    level 0 <= i < k-1 is c projected on level i, all taken back to k-face
+    rows by one gather.  The constant part is what the levels 0..k leave
+    over, so the components sum to ``f`` exactly.
     """
     _same_space(X, f)
     k = f.dim
-    Q, _ = _range_bases(X, k)
-    w = weight_vector(X, k)
     components = {}
     residual = f.values.copy()
     if k >= 0:
-        s = np.sqrt(w)
-        r = s * f.values
+        P, W, Qc, starts = _flag(X, k)
+        sub, a = _top_lift(X, k)
+        s = np.sqrt(weight_vector(X, k))
+        x = s * f.values
+        c = _coords(sub, a, P, W, x)
+        top = x - _embed(sub, a, P, W, c)
+        dc = _coords(sub, a, P, W, top)
+        top -= _embed(sub, a, P, W, dc)
+        c += dc
+        y = c
         for _ in range(2):
-            r = r - Q @ (Q.T @ r)
-        components[k] = Cochain(X, k, r / s)
-        residual -= components[k].values
-    wf = w * f.values
-    for i in range(k - 1, -1, -1):
-        B = proper_level_basis(X, k, i)
-        vals = B @ (B.T @ wf)
-        components[i] = Cochain(X, k, vals)
-        residual -= vals
+            y = y - Qc @ (Qc.T @ y)
+        levels = [y]  # level k-1, then k-2..0
+        for i in range(k - 2, -1, -1):
+            B = Qc[:, starts[i + 1]:starts[i + 2]]
+            levels.append(B @ (B.T @ c))
+        parts = _embed(sub, a, P, W, np.stack(levels, axis=1)) / s[:, None]
+        for i, vals in [(k, top / s), *zip(range(k - 1, -1, -1), parts.T)]:
+            components[i] = Cochain(X, k, vals)
+            residual -= vals
     components[-1] = Cochain(X, k, residual)
     norms_sq = {i: norm_sq(X, g) for i, g in components.items()}
     return LevelDecomposition(components, norms_sq)

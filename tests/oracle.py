@@ -13,9 +13,10 @@ takes one eigenvalue of the vertex up-down walk.
 every level's basis built, the levels below the top by thin SVDs of the
 lifts (``range_basis_svd``) and the top level from one complete QR
 (``complement_complete``, the full ``n_k x n_k`` orthogonal factor), where
-the package takes the lower levels from symmetric eigensolves of each
-lift's Gram matrix, the top level as a residual, and builds the top basis,
-when asked, from the compact WY form of the stack's reflectors.
+the package takes the flag in the coordinates of the top lift's range,
+from symmetric eigensolves of Gram matrices with a row per (k-1)-face, the
+top level as a residual, and builds the top basis, when asked, from the
+compact WY form of the stack's reflectors.
 ``weighted_pure_complexes`` is the hypothesis strategy the property tests
 draw their complexes from.  ``complex_from_faces`` stores a complex given
 as tuple lists and a weight dict, unchecked, which the library never

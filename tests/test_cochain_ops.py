@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -164,9 +166,15 @@ def test_adjoint_localizes(all_fixtures):
                     assert np.allclose(left.values, right.values, atol=TOL)
 
 
-def test_multi_single_step_reduction(c42):
-    assert np.allclose(multi_up(c42, 0, 1).matrix, diff(c42, 0).matrix, atol=TOL)
-    assert np.allclose(multi_down(c42, 0, 1).matrix, adjoint_diff(c42, 0).matrix, atol=TOL)
+def test_diff_range_checks(c42):
+    # diff and adjoint_diff return the i = 1 lifts, but check their own
+    # range -1 <= k < d and name themselves when it is broken
+    for k in (-2, c42.top_dim):
+        with pytest.raises(ComplexError, match=re.escape(f"diff needs -1 <= k < 2, got {k}")) as err:
+            diff(c42, k)
+        assert str(err.value).startswith("diff needs")
+        with pytest.raises(ComplexError, match=re.escape(f"adjoint_diff needs -1 <= k < 2, got {k}")):
+            adjoint_diff(c42, k)
 
 
 def test_multi_down_global_mean(t3):

@@ -405,6 +405,97 @@ def test_range_bases_take_no_svd(monkeypatch):
     assert sum(proper_level_basis(X, 3, i).shape[1] for i in range(-1, 4)) == X.n_faces(3)
 
 
+def _top_lift_dense(X, k):
+    """``A = sqrt(W_k) diff(X, k-1) W_(k-1)^-1/2`` as a dense matrix."""
+    A = np.sqrt(weight_vector(X, k))[:, None] * diff(X, k - 1).matrix
+    return A / np.sqrt(weight_vector(X, k - 1))
+
+
+def test_top_gram_rank_cut_sits_in_a_gap(monkeypatch, all_fixtures, skewed83):
+    # the top Gram G = A^T A keeps as many directions of A as its thin SVD
+    # has above (max(shape) eps |A|_F)^2, strong ones from one eigh of G and
+    # weaker ones from passes, and the decision rests on a gap: every kept
+    # squared singular value is at least 1e3 times the cut and every dropped
+    # one at most 0.1 times it (measured: 3.9e9 and none on these inputs,
+    # 1e23 and 4.4e-7 on partite(5,5,5,5), whose up-down walks have true
+    # zero eigenvalues).  Measured on fresh copies, whose flags are not
+    # cached yet.
+    calls = []
+    original = level_decomp._top_range
+
+    def recording(X, k):
+        out = original(X, k)
+        calls.append((k, out))
+        return out
+
+    monkeypatch.setattr(level_decomp, "_top_range", recording)
+    inputs = [X for _, X in all_fixtures] + [skewed83]
+    inputs = [build_complex(X.faces(X.top_dim), list(weight_vector(X, X.top_dim))) for X in inputs]
+    inputs += [_skewed_complete(12, 3, 12), _skewed_complete(8, 3, 20)]
+    for X in inputs + [generate("partite", parts=[5, 5, 5, 5])]:
+        calls.clear()
+        for k in range(0, X.top_dim + 1):
+            level_decomp._flag(X, k)
+        assert [k for k, _ in calls] == list(range(X.top_dim + 1))
+        for k, (P, W, _) in calls:
+            A = _top_lift_dense(X, k)
+            cut = (max(A.shape) * np.finfo(float).eps) ** 2 * np.vdot(A, A)
+            lam = np.linalg.svd(A, compute_uv=False) ** 2
+            assert np.sum(lam > cut) == P.shape[1] + W.shape[1]
+            assert np.all(lam[lam > cut] >= 1e3 * cut)
+            assert np.all(lam[lam <= cut] <= 0.1 * cut)
+
+
+@pytest.mark.parametrize("decades", [16, 20, 24])
+def test_proper_decompose_masses_beyond_12_decades(decades):
+    # past 12 decades the top Gram has directions below sqrt(eps) |G|, which
+    # the passes take in k-face rows; the masses still match the complete
+    # route within 1e-15 |f|^2 (measured: 5.5e-16 at 24 decades) and the
+    # components within LEVEL_TOL.  The level projectors are not compared:
+    # there the complete route's thin SVDs are what drift (2.6e-8 from both
+    # this route and the eigensolve route before it at 24 decades)
+    rng = np.random.default_rng(decades)
+    for seed in range(4):
+        X = _skewed_complete(8, 3, decades, seed)
+        for k in range(0, 4):
+            f = _random_cochain(X, k, rng)
+            got = proper_decompose(X, f)
+            want = oracle.proper_decompose_complete(X, f)
+            nsq = norm_sq(X, f)
+            for i in range(-1, k + 1):
+                assert abs(got.norms_sq[i] - want.norms_sq[i]) <= 1e-15 * max(1.0, nsq)
+                gap = Cochain(X, k, got.components[i].values - want.components[i].values)
+                assert np.sqrt(norm_sq(X, gap)) <= LEVEL_TOL * max(1.0, np.sqrt(nsq))
+
+
+def test_top_decompose_builds_no_k_face_lift_or_stack():
+    # a top cochain is decomposed in (k-1)-face coordinates: no lift to the
+    # top faces, no range stack and no top basis enters the memo
+    X = generate("complete", n=8, d=3)
+    proper_decompose(X, _random_cochain(X, 3, np.random.default_rng(17)))
+    assert not [key for key in X._cache if key[0] == "multi_up" and key[1] + key[2] == 3]
+    assert ("range_bases", 3) not in X._cache
+    assert ("top_basis", 3) not in X._cache
+    assert ("flag", 3) in X._cache
+
+
+def test_level_dimensions_of_wide_lifts():
+    # 150 random 4-subsets of 40 vertices have more 2-faces than 3-faces, so
+    # the top Gram is larger than A A^T; the level dimensions are still
+    # those of the thin-SVD route
+    rng = np.random.default_rng(17)
+    facets = set()
+    while len(facets) < 150:
+        facets.add(tuple(sorted(rng.choice(40, 4, replace=False).tolist())))
+    X = build_complex(sorted(facets))
+    assert X.n_faces(2) > X.n_faces(3)
+    for k in range(-1, 4):
+        _, starts = level_decomp._range_bases(X, k)
+        want = oracle.proper_bases_complete(X, k)
+        assert list(np.diff(starts)) == [want[i].shape[1] for i in range(-1, k)]
+        assert proper_level_basis(X, k, k).shape == want[k].shape
+
+
 def test_complement_edge_cases():
     # a full-rank Q leaves an (n, 0) complement; Q = e_1 and the 1 x 1 Q
     # give a zero tau, LAPACK's identity reflector
