@@ -8,6 +8,7 @@ non-expanding links).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -291,9 +292,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """:func:`build_parser`, built on the first :func:`main` call and kept
+    for the rest of the process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -10,9 +10,10 @@ give the up-down, down-up and non-lazy walks.
 Every operator is materialized as a dense matrix (rows indexed by target
 faces, columns by source faces); the complexes here are desk scale, which
 keeps adjointness and spectrum checks exact to near machine precision.
-Each lift, its adjoint and the non-lazy walk is its closed form, one numpy
-scatter over a subface array ``complex_core._subfaces``; only the
-up-down/down-up walks are products.  Each operator has this one route
+Each lift, its adjoint, the up-down walk and the non-lazy walk is its
+closed form, one numpy scatter over a subface array
+``complex_core._subfaces``; only the down-up walk is a product, of lifts
+through the smaller dimension ``k - i``.  Each operator has this one route
 here; the loop-based entrywise tables and the second routes of walk
 identities that the tests compare them against live in ``tests/oracle.py``.
 ``weight_vector`` is re-exported from complex_core.
@@ -108,11 +109,6 @@ class LinOp:
 
     def __call__(self, f: Cochain) -> Cochain:
         return self.apply(f)
-
-
-def _compose(A: LinOp, B: LinOp) -> LinOp:
-    """The map ``A after B`` (inner dimensions agree at every caller)."""
-    return LinOp(B.source_dim, A.target_dim, A.matrix @ B.matrix)
 
 
 def _same_space(X, f: Cochain):
@@ -217,12 +213,29 @@ def multi_down(X, k, i) -> LinOp:
 
 def up_down(X, k, i=1) -> LinOp:
     """``i``-fold up-down walk on k-cochains: up ``i`` averaging steps, then
-    down ``i`` adjoint steps (``d*_k ... d*_{k+i-1} d_{k+i-1} ... d_k``)."""
+    down ``i`` adjoint steps (``d*_k ... d*_{k+i-1} d_{k+i-1} ... d_k``).
+
+    Closed form: entry ``[s, t]`` is the sum of ``w(rho) / (c^2 w(s))`` over
+    the (k+i)-faces ``rho`` containing both s and t, ``c = C(k+i+1, k+1)``
+    the number of k-subfaces of each ``rho``.
+    """
     if i < 1 or k < 0 or k + i > X.top_dim:
         raise ComplexError(f"up_down range violation: k={k}, i={i}, d={X.top_dim}")
-    return _cached_op(
-        X, ("up_down", k, i), lambda: _compose(multi_down(X, k, i), multi_up(X, k, i))
-    )
+
+    def build():
+        # one bincount over the c^2 ordered pairs (p, q) of subfaces of every
+        # rho: the diagonal collects a term from every coface, and for i >= 2
+        # off-diagonal pairs repeat too.  Each term is rounded as the down
+        # lift's entry w(rho) / (c w(s)) times the up lift's 1 / c.
+        sub = _subfaces(X, k + i, k)
+        n, c = X.n_faces(k), sub.shape[1]
+        a = np.repeat(sub, c, axis=1)  # [rho, (p, q)] -> sub[rho, p]
+        b = np.tile(sub, c)  # [rho, (p, q)] -> sub[rho, q]
+        vals = (weight_vector(X, k + i)[:, None] / (c * weight_vector(X, k)[a])) * (1.0 / c)
+        mat = np.bincount((a * n + b).ravel(), vals.ravel(), n * n).reshape(n, n)
+        return LinOp(k, k, mat)
+
+    return _cached_op(X, ("up_down", k, i), build)
 
 
 def down_up(X, k, i=1) -> LinOp:
@@ -237,7 +250,7 @@ def down_up(X, k, i=1) -> LinOp:
     return _cached_op(
         X,
         ("down_up", k, i),
-        lambda: _compose(multi_up(X, k - i, i), multi_down(X, k - i, i)),
+        lambda: LinOp(k, k, multi_up(X, k - i, i).matrix @ multi_down(X, k - i, i).matrix),
     )
 
 

@@ -27,10 +27,12 @@ key lookup replaced; ``localize_scan`` and ``restrict_scan`` view a cochain
 in a link face by face, where the package gathers.
 
 The routes at the very end are built from package operators, as the other
-side of an identity the package states: ``nonlazy_from_iup`` recovers the
-non-lazy vertex walk from the i-fold up-down walk, ``constant_projection``
-is the down-up walk through the empty face, and ``level_projector`` is the
-dense projector whose differences give the proper level components.
+side of an identity the package states: ``up_down_product`` is the
+up-down walk as the product of its two lifts, where the package scatters
+its closed form, ``nonlazy_from_iup`` recovers the non-lazy vertex walk
+from the i-fold up-down walk, ``constant_projection`` is the down-up walk
+through the empty face, and ``level_projector`` is the dense projector
+whose differences give the proper level components.
 ``lift_to_zero`` and its ``psd_sqrt`` build the vertex shadow of a 0-level
 cochain that the advantage argument runs through, and
 ``restriction_level_space`` the level spaces of vertex cochains under
@@ -592,6 +594,15 @@ def proper_decompose_complete(X, f):
     components[-1] = Cochain(X, k, residual)
     norms_sq = {i: norm_sq(X, g) for i, g in components.items()}
     return LevelDecomposition(components, norms_sq)
+
+
+def up_down_product(X, k, i):
+    """The i-fold up-down walk on k-cochains as the product
+    ``multi_down(X, k, i) @ multi_up(X, k, i)`` of its dense lifts: the
+    second route to ``up_down(X, k, i)``."""
+    from hdxwalk.cochain_ops import LinOp, multi_down, multi_up
+
+    return LinOp(k, k, multi_down(X, k, i).matrix @ multi_up(X, k, i).matrix)
 
 
 def nonlazy_from_iup(X, i):

@@ -376,6 +376,33 @@ def test_cli_minimize_residual_relative_to_the_cochain(tmp_path, scale):
     assert rep["local_minimality_residual"] <= 1e-10 * np.max(np.abs(f.values))
 
 
+def test_cli_main_builds_its_parser_once(c42_file, capsys, monkeypatch):
+    # main() keeps the parser it built first; later calls in the process,
+    # one after a usage error included, answer as a fresh process does
+    from hdxwalk import cli
+
+    cli.main(["analyze", c42_file, "--json"])
+    capsys.readouterr()
+
+    def refuse():
+        raise AssertionError("main() built a second parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    argv = ["verify", c42_file, "--theorem", "nonsense"]
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    r = run_cli(*argv)
+    assert err.value.code == r.returncode == 2
+    assert capsys.readouterr().err == r.stderr
+    for argv in (
+        ["analyze", c42_file, "--json"],
+        ["verify", c42_file, "--theorem", "updown", "--samples", "5", "--json"],
+    ):
+        code = cli.main(argv)
+        r = run_cli(*argv)
+        assert (code, capsys.readouterr().out) == (r.returncode, r.stdout)
+
+
 def test_cli_exit_codes(tmp_path, c42_file):
     # usage: unknown theorem name
     r = run_cli("verify", c42_file, "--theorem", "nonsense")

@@ -301,6 +301,17 @@ def test_multi_vs_closed_form(all_fixtures, skewed83):
                 assert np.max(np.abs(multi_down(X, k, i).matrix - expect)) <= 1e-15
 
 
+def test_up_down_closed_form(all_fixtures, skewed83):
+    # every up-down walk, its closed form scattered over the subface pairs,
+    # against the product of its two lifts; entries are at most 1, so
+    # 1e-15 is rounding
+    for _, X in all_fixtures + [("skewed_complete83", skewed83)]:
+        for k in range(0, X.top_dim):
+            for i in range(1, X.top_dim - k + 1):
+                expect = oracle.up_down_product(X, k, i).matrix
+                assert np.max(np.abs(up_down(X, k, i).matrix - expect)) <= 1e-15
+
+
 def test_operators_equal_loop_routes(all_fixtures, skewed83):
     # the scatters over the subface arrays against the defining loops, one
     # basis cochain at a time; entries are at most 1, so 1e-15 is rounding
@@ -330,3 +341,15 @@ def test_each_lift_is_one_memo_entry():
         before = n_ops()
         build()
         assert n_ops() == before + 1
+
+
+def test_each_walk_is_one_memo_entry():
+    # an up-down walk is one scatter: building it adds its own operator to
+    # the memo and neither of the lifts it is the product of
+    X = generate("complete", n=6, d=3)
+    for k, i in ((0, 3), (1, 1)):
+        before = set(X._cache)
+        up_down(X, k, i)
+        added = set(X._cache) - before
+        assert [key for key in added if isinstance(X._cache[key], LinOp)] == [("up_down", k, i)]
+        assert not [key for key in X._cache if key[0] in ("multi_up", "multi_down")]
