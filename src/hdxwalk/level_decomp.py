@@ -32,15 +32,13 @@ lift or stack with a row per k-face, and a basis with one only for the weak
 directions (none on uniform complexes); the top component is ``sqrt(w) f``
 less its part in range(A), taken twice.
 
-The ``sqrt(w)``-scaled stack of levels -1..k-1 with a row per k-face, which
-the level bases and the certificates read, is the flag taken to k-face
-rows by one gather (:func:`_range_bases`), level k-1 being the complement
-of the lower levels in c-coordinates.  The top level k is the stack's
-complement; its basis is read off the Householder vectors of the stack's
-own QR (one triangular solve and one product, no ``n_k x n_k`` factor),
-and is built only when a caller asks for it
-(``proper_level_basis(X, k, k)``, ``level_space``, the ``verify``
-fixtures).
+The level bases that the certificates read are one table per dimension
+(:func:`_level_bases`): the flag taken to k-face rows by one gather, level
+k-1 being the complement of the lower levels in c-coordinates, and the top
+level k, the complement of that ``sqrt(w)``-scaled stack, read off the
+Householder vectors of the stack's own QR (one triangular solve and one
+product, no ``n_k x n_k`` factor).  Both are divided by ``sqrt(w)`` in
+place, and :func:`proper_level_basis` hands out read-only views of them.
 """
 
 from __future__ import annotations
@@ -344,41 +342,36 @@ def _flag(X, k):
     return _cached_op(X, ("flag", k), build)
 
 
-def _range_bases(X, k):
-    """The read-only ``sqrt(w)``-scaled stack ``Q`` of the proper levels
-    -1..k-1 and ``starts``: level i is ``Q[:, starts[i+1]:starts[i+2]]``.
+def _level_bases(X, k):
+    """``(Q, T, starts)``, read-only and W-orthonormal: the stack ``Q`` of
+    the proper levels -1..k-1, level i being ``Q[:, starts[i+1]:starts[i+2]]``,
+    and the top level ``T``.
 
     The flag of :func:`_flag`, with level k-1 the complement of its stack
     in c-coordinates (:func:`_complement`, ``r`` rows), taken to k-face
-    rows by one gather, ``Q = U Qc``.  The lifts are uniform averages, so
-    no rank depends on weights.  Cached under ``("range_bases", k)``.
+    rows by one gather, ``sqrt(w) Q = U Qc``.  ``T`` is the complement of
+    that ``sqrt(w)``-scaled stack; both are then divided by ``sqrt(w)`` in
+    place.  The lifts are uniform averages, so no rank depends on weights.
+    Cached under ``("level_bases", k)``.
     """
     if not -1 <= k <= X.top_dim:
         raise ComplexError(f"level bases need -1 <= k <= {X.top_dim}, got {k}")
 
     def build():
         if k < 0:
-            return np.zeros((1, 0)), (0,)
-        P, W, Qc, starts = _flag(X, k)
-        Qc = np.hstack([Qc, _complement(Qc)])
-        sub, a = _top_lift(X, k)
-        return _embed(sub, a, P, W, Qc), starts + (Qc.shape[1],)
+            Q, starts = np.zeros((1, 0)), (0,)
+        else:
+            P, W, Qc, starts = _flag(X, k)
+            Qc = np.hstack([Qc, _complement(Qc)])
+            sub, a = _top_lift(X, k)
+            Q, starts = _embed(sub, a, P, W, Qc), starts + (Qc.shape[1],)
+        T = _complement(Q)
+        s = np.sqrt(weight_vector(X, k))[:, None]
+        Q /= s
+        T /= s
+        return Q, T, starts
 
-    return _cached_op(X, ("range_bases", k), build)
-
-
-def _top_basis(X, k):
-    """Read-only W-orthonormal basis of the proper level k: the complement
-    of the range stack (:func:`_complement`) over ``sqrt(w)``.  Built on
-    first use and cached under ``("top_basis", k)``."""
-    Q, _ = _range_bases(X, k)
-
-    def build():
-        B = _complement(Q)
-        B /= np.sqrt(weight_vector(X, k))[:, None]
-        return B
-
-    return _cached_op(X, ("top_basis", k), build)
+    return _cached_op(X, ("level_bases", k), build)
 
 
 def level_space(X, k, i) -> LevelBasis:
@@ -387,19 +380,18 @@ def level_space(X, k, i) -> LevelBasis:
     cochains whose localized mean vanishes at every (i-1)-face."""
     if not 0 <= i <= k <= X.top_dim:
         raise ComplexError(f"level_space needs 0 <= i <= k <= {X.top_dim}")
-    return LevelBasis(k, i, np.hstack([proper_level_basis(X, k, j) for j in range(i, k + 1)]))
+    Q, T, starts = _level_bases(X, k)
+    return LevelBasis(k, i, np.hstack([Q[:, starts[i + 1]:], T]))
 
 
 def proper_level_basis(X, k, i) -> np.ndarray:
     """W-orthonormal basis of the proper i-level space (i-level and
-    orthogonal to the (i+1)-level space); level -1 is the constants."""
+    orthogonal to the (i+1)-level space); level -1 is the constants.  A
+    read-only view into the cached table of :func:`_level_bases`."""
     if not -1 <= i <= k:
         raise ComplexError(f"proper levels of {k}-cochains run -1..{k}, got {i}")
-    if i == k:
-        return _top_basis(X, k)
-    Q, starts = _range_bases(X, k)
-    s = np.sqrt(weight_vector(X, k))[:, None]
-    return Q[:, starts[i + 1]:starts[i + 2]] / s
+    Q, T, starts = _level_bases(X, k)
+    return T if i == k else Q[:, starts[i + 1]:starts[i + 2]]
 
 
 @dataclass(frozen=True)

@@ -584,7 +584,7 @@ def test_memo_holds_only_read_only_arrays():
             localize(X, f, (0,))
     families = {key[0] for key in X._cache}
     assert {"sub", "keys", "link_lambda2", "nonlazy", "up_down", "multi_down"} <= families
-    assert {"range_bases", "top_basis", "coboundary", "link"} <= families
+    assert {"level_bases", "coboundary", "link"} <= families
     arrays = list(_memo_arrays(X))
     assert len(arrays) > 4 * (X.top_dim + 2)
     assert not any(a.flags.writeable for a in arrays)

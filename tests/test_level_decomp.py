@@ -2,7 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -230,10 +230,10 @@ def test_proper_decompose_invariants(all_fixtures):
 
 
 def _assert_matches_complete_route(X, rng, mass_tol):
-    """proper_decompose against the route that builds every level basis,
-    the lower ones by thin SVDs and the top one by a complete QR, at every
-    dimension of ``X``: level masses within ``mass_tol * max(1, |f|^2)``,
-    components within ``LEVEL_TOL`` in the W-norm (entries on faces of
+    """proper_decompose against the route that builds every level basis in
+    extended precision, the lower ones from thin SVDs and the top one from
+    a complete QR, at every dimension of ``X``: level masses within
+    ``mass_tol * max(1, |f|^2)``, components within ``LEVEL_TOL`` in the W-norm (entries on faces of
     weight w are only fixed to rounding over sqrt(w)), and at every level
     the same dimension and the same projector ``B B^T W`` within
     ``LEVEL_TOL``, compared in sqrt(w) coordinates where it is an
@@ -267,10 +267,19 @@ def test_proper_decompose_matches_complete_route(all_fixtures, skewed83):
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(X=oracle.weighted_pure_complexes(), seed=st.integers(0, 2**32 - 1))
+@example(
+    X=build_complex(
+        [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4)],
+        [0.2499999999697408, 0.25000000013508644, 0.25000000001499467, 0.2499999998801781],
+    ),
+    seed=5,
+)
 def test_proper_decompose_matches_complete_route_property(X, seed):
-    # each route's masses carry a few ulps of |f|^2 of rounding (up to
-    # 8.7e-16 off a 40-digit reference for the complete route at k = 0), so
-    # over 300 draws their difference reaches 1.5e-15
+    # the package's masses carry a few ulps of |f|^2 of rounding and the
+    # complete route's, in extended precision, far less: their difference
+    # reached 9.2e-16 over 2000 draws.  With the complete route in double
+    # the pinned example's level-0 masses at k = 3 differed by 2.22e-15,
+    # the complete route 1.93e-15 off a 40-digit reference
     _assert_matches_complete_route(X, np.random.default_rng(seed), 2e-15)
 
 
@@ -320,6 +329,14 @@ def test_proper_level_dimensions_ignore_weights_property(X):
             assert proper_level_basis(X, k, i).shape == proper_level_basis(U, k, i).shape
 
 
+def _scaled_table(X, k):
+    """``(Q, T, starts)`` of ``level_decomp._level_bases(X, k)`` times
+    sqrt(w), where the table is orthonormal."""
+    Q, T, starts = level_decomp._level_bases(X, k)
+    s = np.sqrt(weight_vector(X, k))[:, None]
+    return Q * s, T * s, starts
+
+
 def _skewed_complete(n, d, decades, seed=0):
     facets = list(combinations(range(n), d + 1))
     weights = 10 ** np.random.default_rng(seed).uniform(-decades, 0, len(facets))
@@ -350,7 +367,7 @@ def test_rank_cut_sits_in_a_gap(monkeypatch, all_fixtures, skewed83):
     for X in inputs + [_skewed_complete(12, 3, 12), _skewed_complete(8, 3, 20)]:
         calls.clear()
         for k in range(-1, X.top_dim + 1):
-            level_decomp._range_bases(X, k)
+            level_decomp._level_bases(X, k)
         assert calls
         for A, Q, B in calls:
             cut = (max(A.shape) * np.finfo(float).eps) ** 2 * np.vdot(A, A)
@@ -375,8 +392,8 @@ def test_level_dimensions_ignore_weights_beyond_12_decades(decades):
     for seed in range(4):
         X = _skewed_complete(8, 3, decades, seed)
         for k in range(-1, 4):
-            Q, starts = level_decomp._range_bases(X, k)
-            assert starts == level_decomp._range_bases(U, k)[1]
+            Q, _, starts = _scaled_table(X, k)
+            assert starts == level_decomp._level_bases(U, k)[2]
             assert np.max(np.abs(Q.T @ Q - np.eye(Q.shape[1])), initial=0.0) <= 1e-13
 
 
@@ -387,7 +404,7 @@ def test_range_stack_orthonormal_under_skewed_weights(skewed83):
     # Newton-Schulz step by 1.5e-9
     for X in (skewed83, _skewed_complete(12, 3, 12)):
         for k in range(-1, X.top_dim + 1):
-            Q, _ = level_decomp._range_bases(X, k)
+            Q, _, _ = _scaled_table(X, k)
             assert np.max(np.abs(Q.T @ Q - np.eye(Q.shape[1])), initial=0.0) <= 1e-13
 
 
@@ -400,7 +417,7 @@ def test_range_bases_take_no_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", refuse)
     X = generate("complete", n=8, d=3)
     for k in range(-1, 4):
-        Q, starts = level_decomp._range_bases(X, k)
+        Q, _, starts = level_decomp._level_bases(X, k)
         assert Q.shape[1] == starts[-1]
     assert sum(proper_level_basis(X, 3, i).shape[1] for i in range(-1, 4)) == X.n_faces(3)
 
@@ -450,32 +467,21 @@ def test_top_gram_rank_cut_sits_in_a_gap(monkeypatch, all_fixtures, skewed83):
 def test_proper_decompose_masses_beyond_12_decades(decades):
     # past 12 decades the top Gram has directions below sqrt(eps) |G|, which
     # the passes take in k-face rows; the masses still match the complete
-    # route within 1e-15 |f|^2 (measured: 5.5e-16 at 24 decades) and the
-    # components within LEVEL_TOL.  The level projectors are not compared:
-    # there the complete route's thin SVDs are what drift (2.6e-8 from both
-    # this route and the eigensolve route before it at 24 decades)
+    # route within 1e-15 |f|^2 (measured: 5.2e-16 at 16 decades), and the
+    # components and level projectors within LEVEL_TOL (measured: 1.2e-14
+    # at 24 decades; the complete route in double drifted to 2.6e-8 there)
     rng = np.random.default_rng(decades)
     for seed in range(4):
-        X = _skewed_complete(8, 3, decades, seed)
-        for k in range(0, 4):
-            f = _random_cochain(X, k, rng)
-            got = proper_decompose(X, f)
-            want = oracle.proper_decompose_complete(X, f)
-            nsq = norm_sq(X, f)
-            for i in range(-1, k + 1):
-                assert abs(got.norms_sq[i] - want.norms_sq[i]) <= 1e-15 * max(1.0, nsq)
-                gap = Cochain(X, k, got.components[i].values - want.components[i].values)
-                assert np.sqrt(norm_sq(X, gap)) <= LEVEL_TOL * max(1.0, np.sqrt(nsq))
+        _assert_matches_complete_route(_skewed_complete(8, 3, decades, seed), rng, 1e-15)
 
 
 def test_top_decompose_builds_no_k_face_lift_or_stack():
     # a top cochain is decomposed in (k-1)-face coordinates: no lift to the
-    # top faces, no range stack and no top basis enters the memo
+    # top faces and no level table enters the memo
     X = generate("complete", n=8, d=3)
     proper_decompose(X, _random_cochain(X, 3, np.random.default_rng(17)))
     assert not [key for key in X._cache if key[0] == "multi_up" and key[1] + key[2] == 3]
-    assert ("range_bases", 3) not in X._cache
-    assert ("top_basis", 3) not in X._cache
+    assert ("level_bases", 3) not in X._cache
     assert ("flag", 3) in X._cache
 
 
@@ -490,10 +496,29 @@ def test_level_dimensions_of_wide_lifts():
     X = build_complex(sorted(facets))
     assert X.n_faces(2) > X.n_faces(3)
     for k in range(-1, 4):
-        _, starts = level_decomp._range_bases(X, k)
+        _, _, starts = level_decomp._level_bases(X, k)
         want = oracle.proper_bases_complete(X, k)
         assert list(np.diff(starts)) == [want[i].shape[1] for i in range(-1, k)]
         assert proper_level_basis(X, k, k).shape == want[k].shape
+
+
+def test_level_bases_are_read_only_views_of_one_table(all_fixtures, skewed83):
+    # every proper level basis is a view into the one cached table of its
+    # dimension: a write raises, the levels below k share the stack's
+    # memory, and the memo holds no second entry for the stack or the top
+    for _, X in all_fixtures + [("skewed83", skewed83)]:
+        for k in range(-1, X.top_dim + 1):
+            bases = [proper_level_basis(X, k, i) for i in range(-1, k + 1)]
+            for i, B in enumerate(bases, start=-1):
+                with pytest.raises(ValueError):
+                    B[...] = 5.0
+                assert np.may_share_memory(B, proper_level_basis(X, k, i)) or not B.size
+            stack = [B for B in bases[:-1] if B.size]
+            assert all(np.may_share_memory(B, C) for B in stack for C in stack)
+            assert all(B.base is not None and B.base is bases[0].base for B in bases[:-1])
+            assert ("level_bases", k) in X._cache
+        families = {key[0] for key in X._cache}
+        assert not families & {"range_bases", "top_basis"}
 
 
 def test_complement_edge_cases():
@@ -515,15 +540,18 @@ def test_complement_edge_cases():
 @given(X=oracle.weighted_pure_complexes())
 def test_complement_property(X):
     # the complement of every level stack: n_k - r orthonormal columns,
-    # orthogonal to the stack, and the complete QR's columns to rounding
+    # orthogonal to the stack, and the complete QR's columns to rounding;
+    # the table's top level spans it (the basis itself is not continuous in
+    # the stack: a reflector's sign flips where its pivot crosses zero)
     for k in range(-1, X.top_dim + 1):
-        Q, _ = level_decomp._range_bases(X, k)
+        Q, T, _ = _scaled_table(X, k)
         n, r = Q.shape
         C = level_decomp._complement(Q)
         assert C.shape == (n, n - r)
         assert np.all(np.abs(C.T @ C - np.eye(n - r)) <= 1e-14)
         assert np.all(np.abs(Q.T @ C) <= 1e-14)
         assert np.all(np.abs(C - oracle.complement_complete(Q)) <= 1e-14)
+        assert np.all(np.abs(C @ C.T - T @ T.T) <= 1e-14)
 
 
 def test_top_basis_builds_no_complete_qr(monkeypatch):
@@ -540,7 +568,7 @@ def test_top_basis_builds_no_complete_qr(monkeypatch):
     X = generate("complete", n=8, d=3)
     for k in range(-1, 4):
         B = proper_level_basis(X, k, k)
-        assert B.shape[1] == X.n_faces(k) - level_decomp._range_bases(X, k)[0].shape[1]
+        assert B.shape[1] == X.n_faces(k) - level_decomp._level_bases(X, k)[0].shape[1]
 
 
 def test_proper_decompose_builds_no_complement(monkeypatch):
