@@ -1,8 +1,8 @@
 """Command-line surface: generate fixtures and run the certificates.
 
 Exit codes: 0 all checks pass, 1 a bound or verdict is violated, 2 usage
-or file errors, 3 a theorem hypothesis fails (disconnected complex or
-non-expanding links).
+or file errors, or a run that cannot allocate its arrays, 3 a theorem
+hypothesis fails (disconnected complex or non-expanding links).
 """
 
 from __future__ import annotations
@@ -311,6 +311,10 @@ def main(argv=None):
         return EXIT_HYPOTHESIS
     except ComplexError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # the input is too large for this machine; no bound was violated
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

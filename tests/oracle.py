@@ -576,25 +576,28 @@ def range_basis_svd(A, Q):
     return _orthonormal(_project_off(Q, A @ (vt[keep].T / sv[keep])))
 
 
-def proper_bases_complete(X, k):
-    """W-orthonormal bases of the proper levels -1..k in extended precision
-    (``np.longdouble``, 64-bit significands on x86-64), built afresh with
-    nothing cached: one block Gram-Schmidt over the unscaled lifts by
-    :func:`range_basis_svd`, and level k from one complete QR, projected
-    off the levels below and orthonormalized again.  The second route for
-    the package's level bases.  A basis inside a level is free, so the two
-    routes must agree in the level dimensions and the level projectors,
-    not in the basis vectors.
+def proper_bases_complete(X, k, dtype=np.longdouble):
+    """W-orthonormal bases of the proper levels -1..k in ``dtype``, by
+    default extended precision (``np.longdouble``, 64-bit significands on
+    x86-64), built afresh with nothing cached: one block Gram-Schmidt over
+    the unscaled lifts by :func:`range_basis_svd`, and level k from one
+    complete QR, projected off the levels below and orthonormalized again.
+    The second route for the package's level bases.  A basis inside a
+    level is free, so the two routes must agree in the level dimensions
+    and the level projectors, not in the basis vectors.
 
     The package's masses carry a few ulps of ``|f|^2`` of rounding, so the
     oracle's must carry less: built in double, this route's masses were up
     to 1.9e-15 ``|f|^2`` off a 40-digit Gram-Schmidt over the same lifts
     (four facets of complete(5,3) with weights within 1.4e-10 of 1/4, at
     k = 3), where the package was 2.9e-16 off; in extended precision they
-    were within 2.2e-22 ``|f|^2`` of that reference over 220 random draws."""
+    were within 2.2e-22 ``|f|^2`` of that reference over 220 random draws.
+    Either precision takes every rank from a double-precision SVD, so a
+    caller that compares level dimensions only can pass ``dtype=float``,
+    without numpy's unoptimized long-double products."""
     from hdxwalk.cochain_ops import multi_up, weight_vector
 
-    s = np.sqrt(weight_vector(X, k).astype(np.longdouble))[:, None]
+    s = np.sqrt(weight_vector(X, k).astype(dtype))[:, None]
     Q = np.zeros((len(s), 0), s.dtype)
     bases = {}
     for i in range(-1, k):

@@ -403,6 +403,20 @@ def test_cli_main_builds_its_parser_once(c42_file, capsys, monkeypatch):
         assert (code, capsys.readouterr().out) == (r.returncode, r.stdout)
 
 
+def test_cli_out_of_memory_exits_2(c42_file, capsys, monkeypatch):
+    # a run that cannot allocate its arrays refuses with exit 2 and a
+    # message, not 1, the code of a violated bound, with a traceback
+    def exhaust(*args):
+        raise MemoryError("Unable to allocate 8.27 GiB for an array")
+
+    monkeypatch.setattr(cli, "check_block", exhaust)
+    code = cli.main(["verify", c42_file, "--theorem", "fine-grained", "--samples", "3"])
+    out = capsys.readouterr()
+    assert code == cli.EXIT_USAGE == 2
+    assert out.err == "error: out of memory: Unable to allocate 8.27 GiB for an array\n"
+    assert out.out == ""
+
+
 def test_cli_exit_codes(tmp_path, c42_file):
     # usage: unknown theorem name
     r = run_cli("verify", c42_file, "--theorem", "nonsense")

@@ -30,6 +30,7 @@ from hdxwalk import (
     view,
     weight_vector,
 )
+from hdxwalk import level_decomp
 from hdxwalk.level_decomp import LOCALIZATION, proper_level_basis
 from hdxwalk.theorem_verify import (
     levelled_dims,
@@ -473,6 +474,82 @@ def test_block_rejects_constant_component_of_tiny_cochain(theorem):
     with pytest.raises(ComplexError, match="cochain has a nonzero constant component"):
         check_block(X, theorem, 1, 1e-12 * (g + 0.5))
     check_block(X, theorem, 1, 1e-12 * g)  # mean-zero at any scale: accepted
+
+
+def _levels_block(X, k, rng):
+    """Eight random mean-zero k-cochains, then the bases of levels 0..k."""
+    parts = [random_mean_zero_block(X, k, rng, 8)]
+    return np.hstack(parts + [proper_level_basis(X, k, i) for i in range(k + 1)])
+
+
+def _mass_dims(X):
+    return [k for k in levelled_dims(X, "fine-grained") if X.n_faces(k) >= 2]
+
+
+# rounding bound on a level mass, in units of eps |f|^2; the fixtures below
+# reach 3 (a 56-row column at most)
+MASS_ULPS = 16
+
+
+def test_top_mass_is_the_rest_of_the_norm(all_fixtures, skewed83):
+    # the top level's mass is |f|^2 less the masses of levels -1..k-1, bit
+    # for bit, and agrees with |T^T W f|^2 on the top basis T to rounding
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(35)
+    for name, X in all_fixtures + [("skewed83", skewed83)]:
+        for k in _mass_dims(X):
+            F = _levels_block(X, k, rng)
+            nsq = check_block(X, "alev-lau", k, F).per_level[0][1]
+            rep = check_block(X, "fine-grained", k, F)
+            below = [rep.details["constant_mass"]] + [rep.per_level[i][1] for i in range(k)]
+            top = rep.per_level[k][1]
+            assert np.array_equal(top, nsq - sum(below)), (name, k)
+            C = proper_level_basis(X, k, k).T @ (weight_vector(X, k)[:, None] * F)
+            assert np.all(np.abs(top - (C * C).sum(axis=0)) <= MASS_ULPS * eps * nsq), (name, k)
+            assert np.array_equal(check_block(X, "updown", k, F).per_level[k][1], top)
+
+
+def test_top_mass_of_a_column_with_no_top_part(all_fixtures, skewed83):
+    # a level-(k-1) basis column has no top part, so its top mass is
+    # rounding alone, of either sign: it is left unclamped
+    eps = np.finfo(float).eps
+    signs = set()
+    for name, X in all_fixtures + [("skewed83", skewed83)]:
+        for k in _mass_dims(X):
+            B = proper_level_basis(X, k, k - 1)
+            if k < 1 or not B.shape[1]:
+                continue  # level -1 is the constants, not a mean-zero cochain
+            top = check_block(X, "fine-grained", k, B).per_level[k][1]
+            nsq = check_block(X, "alev-lau", k, B).per_level[0][1]
+            assert np.all(np.abs(top) <= MASS_ULPS * eps * nsq), (name, k)
+            signs |= set(np.sign(top).tolist())
+    assert -1.0 in signs
+
+
+def test_check_block_reads_no_top_basis(all_fixtures, skewed83, monkeypatch):
+    # with the cached top basis made NaN and proper_level_basis refused,
+    # every levelled bound gives the same report
+    def refuse(*args):
+        raise AssertionError("check_block read a level basis")
+
+    rng = np.random.default_rng(36)
+    for name, X in all_fixtures + [("skewed83", skewed83)]:
+        for k in range(1, X.top_dim + 1):
+            if X.n_faces(k) < 2:
+                continue
+            F = _levels_block(X, k, rng)
+            theorems = [t for t in LEVELLED_CHECKS if k in levelled_dims(X, t)]
+            want = [check_block(X, t, k, F) for t in theorems]
+            with monkeypatch.context() as m:
+                Q, T, starts = level_decomp._level_bases(X, k)
+                m.setitem(X._cache, ("level_bases", k), (Q, np.full_like(T, np.nan), starts))
+                m.setattr(level_decomp, "proper_level_basis", refuse)
+                for theorem, rep in zip(theorems, want):
+                    got = check_block(X, theorem, k, F)
+                    assert np.array_equal(got.slack, rep.slack), (name, k, theorem)
+                    for i, (coeff, mass) in rep.per_level.items():
+                        assert got.per_level[i][0] == coeff
+                        assert np.array_equal(got.per_level[i][1], mass)
 
 
 def test_block_rejects_bad_shapes(c42):
