@@ -35,14 +35,18 @@ less its part in range(A), taken twice.
 The level bases that the certificates read are one table per dimension
 (:func:`_level_bases`): the flag taken to k-face rows by one gather, level
 k-1 being the complement of the lower levels in c-coordinates, and the top
-level k, the complement of that ``sqrt(w)``-scaled stack, read off the
-Householder vectors of the stack's own QR (one triangular solve and one
-product, no ``n_k x n_k`` factor).  Both are divided by ``sqrt(w)`` in
+level k, the complement of that ``sqrt(w)``-scaled stack.  Each complement
+is the trailing columns of the stack's Householder QR factor, rebuilt from
+a sign-chosen LU of the stack's top r x r block (Ballard et al., 2015) by
+products alone: no QR, no linear solve and no ``n_k x n_k`` factor
+(:func:`_complement`).  A table larger than the memory the process can get
+is refused before it is allocated.  Both are divided by ``sqrt(w)`` in
 place, and :func:`proper_level_basis` hands out read-only views of them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -279,34 +283,82 @@ def _top_range(X, k):
     return P, W, lift
 
 
+# the order at and below which _sign_lu_inverse eliminates one pivot at a time
+LEAF = 16
+
+
+def _sign_lu_inverse(A):
+    """``(X, s)`` for a square A: ``X = (A - diag(s))^-1``, with each sign
+    chosen as the LU of ``A - diag(s)`` with no pivoting reaches it,
+    ``s_j = -sign(p_j)`` for its j-th pivot ``p_j`` before ``s_j`` is
+    subtracted.  Every pivot ``p_j - s_j`` is then at least 1 in magnitude.
+
+    Recursive halving: ``(X_1, s_1)`` of the leading half, then that of its
+    Schur complement ``A_22 - A_21 X_1 A_12``, whose LU goes on with A's,
+    and X from the block inverse, products only.  Blocks of at most LEAF
+    rows are eliminated one pivot at a time on ``[A | I]``, down to
+    ``L^-1``, then back to ``U^-1 L^-1``.
+    """
+    m = len(A)
+    if m <= LEAF:
+        G = np.hstack([A, np.eye(m)])
+        s = np.empty(m)
+        for j in range(m):
+            s[j] = -math.copysign(1.0, G[j, j])
+            G[j, j] -= s[j]
+            G[j + 1:, j:] -= np.multiply.outer(G[j + 1:, j] / G[j, j], G[j, j:])
+        X = G[:, m:]
+        for j in range(m - 1, -1, -1):
+            X[j] /= G[j, j]
+            X[:j] -= np.multiply.outer(G[:j, j], X[j])
+        return X, s
+    h = m // 2
+    X1, s1 = _sign_lu_inverse(A[:h, :h])
+    B = X1 @ A[:h, h:]
+    X2, s2 = _sign_lu_inverse(A[h:, h:] - A[h:, :h] @ B)
+    C = X2 @ (A[h:, :h] @ X1)
+    X = np.empty((m, m))
+    X[:h, :h] = X1 + B @ C
+    X[:h, h:] = -(B @ X2)
+    X[h:, :h] = -C
+    X[h:, h:] = X2
+    return X, np.concatenate([s1, s2])
+
+
 def _complement(Q):
     """Orthonormal basis of the orthogonal complement of range(Q), for Q
     of shape (n, r) with orthonormal columns: the last n - r columns of the
-    product ``H_1 ... H_r`` of the reflectors of Q's Householder QR.
+    product ``H = H_1 ... H_r`` of the reflectors of Q's Householder QR,
+    built without that QR.
 
-    In compact WY form (Schreiber and Van Loan, 1989) that product is
-    ``I - Y T Y^T``, with Y the unit lower trapezoidal reflector vectors
-    and ``T = (I + diag(tau) striu(Y^T Y))^-1 diag(tau)``, so its last
-    columns are ``[0; I] - Y T Y[r:]^T``: one unit triangular solve and one
-    ``n x r`` by ``r x (n - r)`` product, and no ``n x n`` factor.  A zero
-    tau (an identity reflector) needs no special case in this form.
+    Q's QR is ``Q = H [S; 0]`` with ``S = diag(s)``, ``s = +-1``: R is
+    triangular and orthogonal.  Ballard, Demmel, Grigori, Jacquelin, Knight
+    and Nguyen ("Reconstructing Householder vectors from tall-skinny QR",
+    JPDC 2015) show that ``Q - [S; 0] = Y U`` is an LU with no pivoting,
+    Y the reflector vectors and ``s_j = -sign`` of its j-th pivot, the
+    sign LAPACK picks (:func:`_sign_lu_inverse`).  With ``Q_1`` the top r
+    rows of Q, ``Q_2`` the rest and ``Q_1 - S = L U``, eliminating Y and
+    the compact WY factor of ``H = I - Y T_w Y^T`` (Schreiber and Van Loan,
+    1989) from ``H [S; 0] = Q`` leaves
+
+        ``H[:, r:] = [-K; I] + Q S K``,  ``K = (Q_1^T - S)^-1 Q_2^T
+        = (Q_2 U^-1 L^-1)^T``:
+
+    one r x r inverse and two products, ``(n - r) x r x r`` and
+    ``n x r x (n - r)``, and no ``n x n`` factor.  Where a column is
+    already reduced, LAPACK takes no reflector (tau = 0) and the other
+    sign; the reflector taken here instead flips only a row in which
+    ``H[:, r:]`` is zero, so both give the same columns.
     """
     n, r = Q.shape
-    h, tau = np.linalg.qr(Q, mode="raw")
-    Y = np.tril(h.T, -1)
-    del h  # an n x r array the rest does not need
-    diag = np.arange(r)
-    Y[diag, diag] = 1.0
-    A = Y.T @ Y  # made I + diag(tau) striu(Y^T Y) in place
-    A[np.tri(r, dtype=bool)] = 0.0
-    A *= tau[:, None]
-    A[diag, diag] = 1.0
-    A = np.linalg.solve(A, tau[:, None] * Y[r:].T)  # T Y[r:]^T; the system is freed
-    C = Y @ A
-    # 0 - x rather than -x: exact zeros stay +0.0, as the complete QR gives them
-    np.subtract(0.0, C, out=C)
-    C[np.arange(r, n), np.arange(n - r)] += 1.0
-    return C
+    X, s = _sign_lu_inverse(Q[:r])
+    M = Q[r:] @ X  # K^T
+    M *= s
+    T = Q @ M.T
+    M *= s  # s is +-1: K^T again, exactly
+    T[:r] -= M.T
+    T[np.arange(r, n), np.arange(n - r)] += 1.0
+    return T
 
 
 def _flag(X, k):
@@ -342,6 +394,44 @@ def _flag(X, k):
     return _cached_op(X, ("flag", k), build)
 
 
+def _memory_room():
+    """Bytes this process can still allocate, as far as it can read them:
+    the smaller of what its soft address-space limit leaves above its
+    present size and the system's ``MemAvailable``, or ``inf``.  Neither
+    is set here."""
+    import resource  # loaded by the first table build, not by importing hdxwalk
+
+    room = [math.inf]
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    try:
+        if soft != resource.RLIM_INFINITY:
+            with open("/proc/self/statm") as fh:
+                room.append(soft - int(fh.read().split()[0]) * resource.getpagesize())
+        with open("/proc/meminfo") as fh:
+            room += [int(line.split()[1]) * 1024 for line in fh if line.startswith("MemAvailable:")]
+    except OSError:
+        pass
+    return min(room)
+
+
+def _check_table_fits(k, n, m, r):
+    """Refuse, before it is allocated, a level table of k-cochains that the
+    process cannot hold, with n = n_k, m = n_(k-1) and r the stack's width.
+    Its build holds at most ``n^2 + 2 n r + m r`` doubles: Q and T take
+    ``n^2`` together, the gather that builds Q at most ``2 n r + m r``
+    more, and K with the r x r inverse of :func:`_complement` less than
+    ``2 n r``."""
+    need = 8 * (n * n + 2 * n * r + m * r)
+    room = _memory_room()
+    if need > room:
+        gib = 2.0**30
+        raise ComplexError(
+            f"the level table of {k}-cochains needs about {need / gib:.3g} GiB "
+            f"(n_{k} = {n}, r = {r}), more than the {room / gib:.3g} GiB this "
+            f"process can get"
+        )
+
+
 def _level_bases(X, k):
     """``(Q, T, starts)``, read-only and W-orthonormal: the stack ``Q`` of
     the proper levels -1..k-1, level i being ``Q[:, starts[i+1]:starts[i+2]]``,
@@ -352,7 +442,9 @@ def _level_bases(X, k):
     rows by one gather, ``sqrt(w) Q = U Qc``.  ``T`` is the complement of
     that ``sqrt(w)``-scaled stack; both are then divided by ``sqrt(w)`` in
     place.  The lifts are uniform averages, so no rank depends on weights.
-    Cached under ``("level_bases", k)``.
+    Once the flag gives r, a table the process cannot hold raises a
+    ComplexError (:func:`_check_table_fits`).  Cached under
+    ``("level_bases", k)``.
     """
     if not -1 <= k <= X.top_dim:
         raise ComplexError(f"level bases need -1 <= k <= {X.top_dim}, got {k}")
@@ -362,6 +454,7 @@ def _level_bases(X, k):
             Q, starts = np.zeros((1, 0)), (0,)
         else:
             P, W, Qc, starts = _flag(X, k)
+            _check_table_fits(k, X.n_faces(k), len(P), len(Qc))
             Qc = np.hstack([Qc, _complement(Qc)])
             sub, a = _top_lift(X, k)
             Q, starts = _embed(sub, a, P, W, Qc), starts + (Qc.shape[1],)

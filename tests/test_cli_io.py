@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import resource
 import subprocess
 import sys
 
@@ -26,6 +28,7 @@ from hdxwalk import (
     write_complex,
 )
 from hdxwalk.complex_core import _sub
+from hdxwalk import level_decomp
 from hdxwalk.level_decomp import proper_level_basis
 
 
@@ -415,6 +418,44 @@ def test_cli_out_of_memory_exits_2(c42_file, capsys, monkeypatch):
     assert code == cli.EXIT_USAGE == 2
     assert out.err == "error: out of memory: Unable to allocate 8.27 GiB for an array\n"
     assert out.out == ""
+
+
+def test_cli_refuses_a_level_table_that_cannot_fit(c42_file, capsys, monkeypatch):
+    # the size estimate refuses the table before it is allocated: exit 2
+    # with a message naming the dimension and the size, nothing on stdout
+    monkeypatch.setattr(level_decomp, "_memory_room", lambda: 100.0)
+    code = cli.main(["verify", c42_file, "--theorem", "advantage", "--samples", "3"])
+    out = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert out.err.startswith("error: the level table of 1-cochains needs about ")
+    assert "(n_1 = 6, r = 4)" in out.err and out.err.endswith("GiB this process can get\n")
+    assert out.out == ""
+
+
+def test_cli_refuses_a_table_above_the_address_space_limit(tmp_path):
+    # under an address-space limit set on the child process only, verify
+    # refuses complete(36,2)'s top table (about 0.45 GiB, above what 512 MiB
+    # leaves an interpreter with numpy loaded) with exit 2, not a traceback
+    path = tmp_path / "c362.cx"
+    path.write_text(write_complex(generate("complete", n=36, d=2)))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**29, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    r = subprocess.run(
+        [sys.executable, "-m", "hdxwalk.cli", "verify", str(path), "--theorem", "advantage", "--samples", "2"],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert r.returncode == 2, r.stderr
+    assert re.fullmatch(
+        r"error: the level table of 2-cochains needs about 0\.4\d GiB \(n_2 = 7140, r = 630\), "
+        r"more than the \d\.\d+ GiB this process can get\n",
+        r.stderr,
+    ), r.stderr
+    assert r.stdout == ""
 
 
 def test_cli_exit_codes(tmp_path, c42_file):
