@@ -105,6 +105,8 @@ def cmd_generate(args):
 
 
 def cmd_analyze(args):
+    if args.threshold is not None and not math.isfinite(args.threshold):
+        raise ParseError(f"--lambda must be finite, got {args.threshold}")
     X = _load_complex(args.file)
     profile = gamma_profile(X)
     report = {
@@ -223,6 +225,8 @@ def _verify_cases(X, theorem, samples, seed):
 def cmd_verify(args):
     if args.samples < 0:
         raise ParseError(f"--samples must be non-negative, got {args.samples}")
+    if args.seed < 0:
+        raise ParseError(f"--seed must be non-negative, got {args.seed}")
     X = _load_complex(args.file)
     fixtures = []
     slacks = []

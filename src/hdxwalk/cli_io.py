@@ -9,13 +9,15 @@ weights must also be normal positive floats, at least
 ``sys.float_info.min``.
 Both formats round-trip bit-faithfully through ``repr`` floats.
 
-A file is read on one token route: the text is split into its fields once,
+A file is read on one route: the text is split into its fields once,
 vertex ids go through ``int`` and weights or values through ``float`` (so
-they accept what ``int`` and ``float`` accept), and every rule above is
-checked on the resulting arrays.  A complex's facets go to
-``complex_core._closure`` as one int array; a cochain's faces are found by
-the complex's integer face keys.  Only when a check fails is the file read
-again line by line, to raise the ParseError that names the first bad line.
+they accept what ``int`` and ``float`` accept), and each rule above is
+written once, as a mask over the data lines that share the first one's
+field count.  A ParseError names the first line a rule rejects, with the
+first rule it breaks, or else the first line with another field count.
+A complex's facets go to ``complex_core._closure`` as one int array; a
+cochain's faces are found by the complex's integer face keys.  Scans that
+only locate a fault run once a check has failed.
 """
 
 from __future__ import annotations
@@ -28,11 +30,10 @@ import numpy as np
 
 from .complex_core import (
     ComplexError,
-    _canonical_rows,
     _closure,
+    _id_array,
     _positions,
     build_complex,
-    canonical_face,
 )
 from .cochain_ops import Cochain, weight_vector
 from .spectral import HypothesisError, _link_graph
@@ -57,139 +58,151 @@ RANDOM_PURE_RETRIES = 500  # facet sets random_pure draws before it gives up
 _COMMENT = re.compile(r"#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
-def _data_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
-def _parse_header(lines, what):
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise ParseError(f"empty {what} file") from None
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "dim":
-        raise ParseError(f"line {lineno}: expected 'dim <n>' header, got {line!r}")
-    try:
-        return int(parts[1])
-    except ValueError:
-        raise ParseError(f"line {lineno}: bad dimension {parts[1]!r}") from None
-
-
-def _fields(text):
-    """The data of a complex or cochain file on the token route: its header
-    dimension, the number of data lines, their common field count (None
-    when there are none) and all their fields in one list.  Comments go by
-    one substitution, blank lines by their field count of 0.  None when the
-    header is not ``dim <int>`` or the data lines differ in field count."""
+def _fields(text, what):
+    """A file's header dimension, the number and field count of each data
+    line below it, and all their fields in one list; comments go by one
+    substitution.  Raises the ParseError of a missing or malformed header."""
     if "#" in text:
         text = _COMMENT.sub("", text)
-    counts = np.array(list(map(len, map(str.split, text.splitlines()))), dtype=np.intp)
-    counts = counts[counts > 0]
+    lines = text.splitlines()
+    counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+    data = np.flatnonzero(counts)
+    if not len(data):
+        raise ParseError(f"empty {what} file")
+    head, data = data[0], data[1:]
     tokens = text.split()
-    if not len(counts) or counts[0] != 2 or tokens[0] != "dim":
-        return None
-    if (counts[1:] != counts[1:2]).any():
-        return None
+    if counts[head] != 2 or tokens[0] != "dim":
+        got = lines[head].strip()
+        raise ParseError(f"line {head + 1}: expected 'dim <n>' header, got {got!r}")
     try:
         dim = int(tokens[1])
     except ValueError:
-        return None
+        raise ParseError(f"line {head + 1}: bad dimension {tokens[1]!r}") from None
     del tokens[:2]
-    return dim, len(counts) - 1, (counts[1] if len(counts) > 1 else None), tokens
+    return dim, data + 1, counts[data], tokens
 
 
-def _facet_table(text):
-    """``(facets, weights)`` for ``_closure`` from a complex file on the
-    token route, or None when a line breaks a rule of the format."""
-    table = _fields(text)
-    if table is None:
-        return None
-    d, n, width, tokens = table
-    if d < 0 or width not in (d + 1, d + 2):
-        return None
-    weights = None
+def _table(counts, widths):
+    """How many data lines, from the first, share its field count; 0 when
+    that count is not one of ``widths``."""
+    if not len(counts) or counts[0] not in widths:
+        return 0
+    return int(np.argmax(counts != counts[0])) or len(counts)
+
+
+def _convert(kind, tokens, n):
+    """``kind`` (``int`` or ``float``) of every token, and the mask of the
+    ``n`` lines the tokens fill that hold one it rejects, which reads as
+    ``kind()``; token by token only after a ValueError."""
     try:
-        if width == d + 2:
-            weights = list(map(float, tokens[d + 1 :: width]))
-            del tokens[d + 1 :: width]
-        ids = list(map(int, tokens))
+        return list(map(kind, tokens)), np.zeros(n, bool)
     except ValueError:
-        return None
-    facets = _canonical_rows(ids, n, d + 1)
-    if facets is None:
-        return None
-    if weights is not None:
-        w = np.array(weights)
-        if not (np.isfinite(w) & (w >= sys.float_info.min)).all():
-            return None
-    return facets, weights
+        pass
+    values, rejected = [], []
+    for token in tokens:
+        try:
+            values.append(kind(token))
+            rejected.append(False)
+        except ValueError:
+            values.append(kind())
+            rejected.append(True)
+    return values, np.reshape(rejected, (n, -1)).any(axis=1)
+
+
+def _weight_rules(tokens):
+    """The weights of the weight tokens, one a line, as a list and an array,
+    and the rules a line checks first: its token is a float, then finite."""
+    weights, rejected = _convert(float, tokens, len(tokens))
+    w = np.array(weights, dtype=float)
+    return weights, w, [
+        (rejected, lambda i: f"bad weight {tokens[i]!r}"),
+        (~np.isfinite(w), lambda i: f"non-finite weight {tokens[i]!r}"),
+    ]
+
+
+def _vertex_rules(faces):
+    """A line's face as a tuple, and the rules on its ascending vertices in
+    ``faces``, as ``canonical_face`` checks them: none repeated or negative."""
+    face = lambda i: tuple(faces[i].tolist())  # noqa: E731
+    return face, [
+        (faces[:, 1:] == faces[:, :-1], lambda i: f"face {face(i)} has repeated vertices"),
+        (faces[:, :1] < 0, lambda i: f"face {face(i)} has a negative vertex id"),
+    ]
+
+
+def _first_repeat(keys):
+    """The mask of the first of ``keys`` that repeats one, by a set scan."""
+    seen = set()
+    for i, key in enumerate(keys):
+        if key in seen:
+            return np.arange(i + 1) == i
+        seen.add(key)
+    return np.zeros(0, bool)
+
+
+def _clean(rules):
+    """Whether no rule's mask marks a line; the scans do not run."""
+    return not any(mask.any() for mask, _ in rules if not callable(mask))
+
+
+def _first_fault(lines, n, rules, said=None):
+    """The ParseError naming the first of the ``n`` table lines a rule
+    rejects, with the first rule that does, else the next line with
+    ``said``; None if neither exists.  A rule is ``(mask, say)``: ``mask``
+    marks lines (any True entry), or is a scan giving the mask of as many
+    first lines as it is told, and ``say(i)`` is the message."""
+    row, message = n, (said if n < len(lines) else None)
+    for mask, say in rules:
+        marked = np.nonzero((mask(row) if callable(mask) else mask)[:row])[0]
+        if len(marked):
+            row = int(marked[0])
+            message = say(row)
+    return None if message is None else ParseError(f"line {lines[row]}: {message}")
 
 
 def parse_complex(text):
     """Build a complex from its facet file; see the module docstring."""
-    table = _facet_table(text)
-    if table is not None:
-        try:
-            return _closure(*table)
-        except ComplexError as exc:
-            _check_complex_lines(text)  # a duplicate facet is named by its line
-            raise ParseError(str(exc)) from None
-    _check_complex_lines(text)
-    raise AssertionError("the line loop accepted a file the token route rejected")
-
-
-def _check_complex_lines(text):
-    """Read a complex file line by line, only to raise the ParseError that
-    names its first bad line; returns when every line is well formed."""
-    lines = _data_lines(text)
-    d = _parse_header(lines, "complex")
+    d, lines, counts, tokens = _fields(text, "complex")
     if d < 0:
         raise ParseError("dimension must be non-negative")
-    seen = set()
-    mode = None  # "weighted" | "plain"
-    for lineno, line in lines:
-        parts = line.split()
-        if len(parts) == d + 1:
-            line_mode, wt = "plain", None
-        elif len(parts) == d + 2:
-            line_mode = "weighted"
-            try:
-                wt = float(parts[-1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad weight {parts[-1]!r}") from None
-            if not np.isfinite(wt):
-                raise ParseError(f"line {lineno}: non-finite weight {parts[-1]!r}")
-            parts = parts[:-1]
-        else:
-            raise ParseError(
-                f"line {lineno}: expected {d + 1} vertices and an optional "
-                f"weight, got {len(parts)} fields"
-            )
-        if mode is None:
-            mode = line_mode
-        elif mode != line_mode:
-            raise ParseError(f"line {lineno}: mixing weighted and unweighted facets")
-        try:
-            ids = [int(p) for p in parts]
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer vertex id") from None
-        try:
-            face = canonical_face(ids)
-        except ComplexError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        if face in seen:
-            raise ParseError(f"line {lineno}: duplicate facet {face}")
-        seen.add(face)
-        if wt is not None:
-            if wt <= 0:
-                raise ParseError(f"line {lineno}: non-positive weight {wt!r}")
-            if wt < sys.float_info.min:
-                raise ParseError(f"line {lineno}: subnormal weight {wt!r}")
-    if not seen:
+    if not len(lines):
         raise ParseError("no facets in file")
+    n, width, changed = _table(counts, (d + 1, d + 2)), int(counts[0]), None
+    if n < len(lines):  # the first line whose field count is not the table's
+        fields = tokens[n * width : n * width + counts[n]]
+        changed = f"expected {d + 1} vertices and an optional weight, got {len(fields)} fields"
+        if len(fields) in (d + 1, d + 2):
+            weight_rules = _weight_rules(fields[d + 1 :])[2]
+            mix = "mixing weighted and unweighted facets"
+            changed = next((say(0) for mask, say in weight_rules if mask.any()), mix)
+        if not n:
+            raise _first_fault(lines, 0, [], changed)
+        del tokens[n * width :]
+    weighted = width == d + 2
+    weights, w, rules = _weight_rules(tokens[d + 1 :: width] if weighted else [])
+    if weighted:
+        del tokens[d + 1 :: width]
+    ids, rejected = _convert(int, tokens, n)
+    rows = np.sort(_id_array(ids, n, d + 1), axis=1, kind="stable")
+    facet, vertex_rules = _vertex_rules(rows)
+    scan = lambda stop: _first_repeat(map(tuple, rows[:stop].tolist()))  # noqa: E731
+    duplicate = (scan, lambda i: f"duplicate facet {facet(i)}")
+    rules += [
+        (rejected, lambda i: "non-integer vertex id"),
+        *vertex_rules,
+        duplicate,
+        (w <= 0, lambda i: f"non-positive weight {weights[i]!r}"),
+        (w < sys.float_info.min, lambda i: f"subnormal weight {weights[i]!r}"),
+    ]
+    if changed is None and _clean(rules):
+        # the closure reuses the tokens' memory: held through it, they
+        # nearly doubled the page faults of a parse
+        del tokens, ids, rules
+        try:
+            return _closure(rows, weights if weighted else None)
+        except ComplexError as exc:  # a duplicate facet, or a face's weight not a normal float
+            raise _first_fault(lines, n, [duplicate]) or ParseError(str(exc)) from None
+    raise _first_fault(lines, n, rules, changed)
 
 
 def _format(dim, faces, values):
@@ -203,73 +216,52 @@ def write_complex(X):
     return _format(X.top_dim, X.facets, weight_vector(X, X.top_dim).tolist())
 
 
-def _cochain_values(text, X):
-    """The values of a cochain file over ``X`` on the token route, or None
-    when a line breaks a rule of the format."""
-    table = _fields(text)
-    if table is None:
-        return None
-    k, n, width, tokens = table
-    if not -1 <= k <= X.top_dim or width not in (None, k + 2):
-        return None
+def _missing(X, faces):
+    """The mask of the rows of ``faces`` that are not faces of ``X``: the
+    rows are halved, down to single ones, only while their lookup fails."""
     try:
-        values = np.array(list(map(float, tokens[k + 1 :: k + 2])), dtype=float)
-        del tokens[k + 1 :: k + 2]
-        ids = list(map(int, tokens))
-    except ValueError:
-        return None
-    faces = _canonical_rows(ids, n, k + 1)
-    if faces is None or not np.isfinite(values).all():
-        return None
-    try:
-        pos = _positions(X, faces)
+        _positions(X, faces)
+        return np.zeros(len(faces), bool)
     except KeyError:
-        return None
-    if (np.bincount(pos, minlength=1) > 1).any():
-        return None
-    vals = np.zeros(X.n_faces(k))
-    vals[pos] = values
-    return Cochain(X, k, vals)
+        if len(faces) == 1:
+            return np.ones(1, bool)
+    half = len(faces) // 2
+    return np.concatenate([_missing(X, faces[:half]), _missing(X, faces[half:])])
 
 
 def parse_cochain(text, X):
     """Read a cochain over ``X`` (faces not listed get value 0)."""
-    f = _cochain_values(text, X)
-    if f is not None:
-        return f
-    _check_cochain_lines(text, X)
-    raise AssertionError("the line loop accepted a file the token route rejected")
-
-
-def _check_cochain_lines(text, X):
-    """Read a cochain file line by line, only to raise the ParseError that
-    names its first bad line; returns when every line is well formed."""
-    lines = _data_lines(text)
-    k = _parse_header(lines, "cochain")
+    k, lines, counts, tokens = _fields(text, "cochain")
     if not -1 <= k <= X.top_dim:
         raise ParseError(f"cochain dimension {k} out of range for the complex")
-    seen = set()
-    for lineno, line in lines:
-        parts = line.split()
-        if len(parts) != k + 2:
-            raise ParseError(
-                f"line {lineno}: expected {k + 1} vertices and a value"
-            )
+    n = _table(counts, (k + 2,))
+    del tokens[n * (k + 2) :]
+    entries = tokens[k + 1 :: k + 2]
+    values, bad_value = _convert(float, entries, n)
+    del tokens[k + 1 :: k + 2]
+    ids, bad_id = _convert(int, tokens, n)
+    faces = np.sort(_id_array(ids, n, k + 1), axis=1, kind="stable")
+    face, vertex_rules = _vertex_rules(faces)
+    rules = [
+        (bad_id | bad_value, lambda i: "malformed entry"),
+        (~np.isfinite(values), lambda i: f"non-finite value {entries[i]!r}"),
+        *vertex_rules,
+        (lambda stop: _missing(X, faces[:stop]), lambda i: f"face {face(i)} is not in the complex"),
+        (
+            lambda stop: _first_repeat(_positions(X, faces[:stop]).tolist()),
+            lambda i: f"duplicate face {face(i)}",
+        ),
+    ]
+    if n == len(lines) and _clean(rules):
         try:
-            ids = [int(p) for p in parts[:-1]]
-            value = float(parts[-1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: malformed entry") from None
-        if not np.isfinite(value):
-            raise ParseError(f"line {lineno}: non-finite value {parts[-1]!r}")
-        try:
-            face = canonical_face(ids)
-            pos = X.index_of(face)
-        except ComplexError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        if pos in seen:
-            raise ParseError(f"line {lineno}: duplicate face {face}")
-        seen.add(pos)
+            pos = _positions(X, faces)
+            if np.bincount(pos, minlength=1).max() < 2:
+                vals = np.zeros(X.n_faces(k))
+                vals[pos] = values
+                return Cochain(X, k, vals)
+        except KeyError:  # a face not in X, which the rules name
+            pass
+    raise _first_fault(lines, n, rules, f"expected {k + 1} vertices and a value")
 
 
 def write_cochain(X, f):
@@ -330,6 +322,8 @@ def generate(kind, **params):
     if kind == "random_pure":
         n, d, m = int(params["n"]), int(params["d"]), int(params["m"])
         seed = int(params.get("seed", 0))
+        if seed < 0:
+            raise ComplexError(f"generate random_pure needs a non-negative seed, got {seed}")
         pool = list(combinations(range(n), d + 1))
         if n < d + 1 or not 1 <= m <= len(pool):
             raise ComplexError(f"random_pure({n},{d},{m}) is infeasible")

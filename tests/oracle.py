@@ -37,14 +37,21 @@ whose differences give the proper level components.
 cochain that the advantage argument runs through, and
 ``restriction_level_space`` the level spaces of vertex cochains under
 restriction, which no certificate reads.
+
+``complex_lines`` and ``cochain_lines`` read a complex or cochain file one
+line at a time, checking each line's rules in turn and raising the
+ParseError of the first bad line, where ``cli_io`` checks every rule as a
+mask over all lines at once; they return what they read.
 """
 
 import math
+import sys
 from itertools import combinations
 
 import numpy as np
 from hypothesis import strategies as st
 
+from hdxwalk.cli_io import ParseError
 from hdxwalk.complex_core import (
     WEIGHT_TOL,
     ComplexError,
@@ -742,3 +749,113 @@ def restriction_level_space(X, i):
     A = s if i == 0 else s * nonlazy(X, 0).matrix
     Q = range_basis_svd(A, np.zeros((len(s), 0)))
     return LevelBasis(0, i, complement_complete(Q) / s)
+
+
+def _data_lines(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _parse_header(lines, what):
+    try:
+        lineno, line = next(lines)
+    except StopIteration:
+        raise ParseError(f"empty {what} file") from None
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != "dim":
+        raise ParseError(f"line {lineno}: expected 'dim <n>' header, got {line!r}")
+    try:
+        return int(parts[1])
+    except ValueError:
+        raise ParseError(f"line {lineno}: bad dimension {parts[1]!r}") from None
+
+
+def complex_lines(text):
+    """Read a complex file line by line: the canonical facets in file order
+    and their weights (None when unweighted), or the ParseError that names
+    the first bad line."""
+    lines = _data_lines(text)
+    d = _parse_header(lines, "complex")
+    if d < 0:
+        raise ParseError("dimension must be non-negative")
+    seen = set()
+    facets, weights = [], []
+    mode = None  # "weighted" | "plain"
+    for lineno, line in lines:
+        parts = line.split()
+        if len(parts) == d + 1:
+            line_mode, wt = "plain", None
+        elif len(parts) == d + 2:
+            line_mode = "weighted"
+            try:
+                wt = float(parts[-1])
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad weight {parts[-1]!r}") from None
+            if not np.isfinite(wt):
+                raise ParseError(f"line {lineno}: non-finite weight {parts[-1]!r}")
+            parts = parts[:-1]
+        else:
+            raise ParseError(
+                f"line {lineno}: expected {d + 1} vertices and an optional "
+                f"weight, got {len(parts)} fields"
+            )
+        if mode is None:
+            mode = line_mode
+        elif mode != line_mode:
+            raise ParseError(f"line {lineno}: mixing weighted and unweighted facets")
+        try:
+            ids = [int(p) for p in parts]
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer vertex id") from None
+        try:
+            face = canonical_face(ids)
+        except ComplexError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        if face in seen:
+            raise ParseError(f"line {lineno}: duplicate facet {face}")
+        seen.add(face)
+        if wt is not None:
+            if wt <= 0:
+                raise ParseError(f"line {lineno}: non-positive weight {wt!r}")
+            if wt < sys.float_info.min:
+                raise ParseError(f"line {lineno}: subnormal weight {wt!r}")
+        facets.append(face)
+        weights.append(wt)
+    if not seen:
+        raise ParseError("no facets in file")
+    return facets, (None if mode == "plain" else weights)
+
+
+def cochain_lines(text, X):
+    """Read a cochain file over ``X`` line by line: its dimension and a dict
+    from face position to value, or the ParseError that names the first bad
+    line."""
+    lines = _data_lines(text)
+    k = _parse_header(lines, "cochain")
+    if not -1 <= k <= X.top_dim:
+        raise ParseError(f"cochain dimension {k} out of range for the complex")
+    seen = {}
+    for lineno, line in lines:
+        parts = line.split()
+        if len(parts) != k + 2:
+            raise ParseError(
+                f"line {lineno}: expected {k + 1} vertices and a value"
+            )
+        try:
+            ids = [int(p) for p in parts[:-1]]
+            value = float(parts[-1])
+        except ValueError:
+            raise ParseError(f"line {lineno}: malformed entry") from None
+        if not np.isfinite(value):
+            raise ParseError(f"line {lineno}: non-finite value {parts[-1]!r}")
+        try:
+            face = canonical_face(ids)
+            pos = X.index_of(face)
+        except ComplexError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        if pos in seen:
+            raise ParseError(f"line {lineno}: duplicate face {face}")
+        seen[pos] = value
+    return k, seen

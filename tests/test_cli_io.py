@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import resource
 import subprocess
@@ -17,6 +18,7 @@ from hdxwalk import (
     ParseError,
     advantage_check,
     alev_lau_check,
+    build_complex,
     cli,
     fine_grained_check,
     generate,
@@ -164,6 +166,157 @@ def test_parse_errors_behind_comments_and_blank_lines():
         parse_complex("dim -1\n0\n")
 
 
+def test_parse_complex_names_the_line_whose_field_count_changes():
+    # the first line whose field count differs from the lines above it is
+    # checked for its count, then for its weight, if it has one, then for
+    # the mix; a fault on a line above it comes first
+    cases = [
+        ("dim 2\n0 1 2\n0 1 3 x\n", "line 3: bad weight 'x'"),
+        ("dim 2\n0 1 2\n0 1 3 nan\n", "line 3: non-finite weight 'nan'"),
+        ("dim 2\n0 1 2\n0 1 3 -1\n", "line 3: mixing weighted and unweighted facets"),
+        ("dim 2\n0 1 2 0.5\n0 y y\n", "line 3: mixing weighted and unweighted facets"),
+        (
+            "dim 2\n0 1 2 0.5\n0 1 3 0.5\n0 1 3 4 0.5\n",
+            "line 4: expected 3 vertices and an optional weight, got 5 fields",
+        ),
+        ("dim 2\n0 1\n0 1 2\n", "line 2: expected 3 vertices and an optional weight, got 2 fields"),
+        ("dim 2\n0 1 2\n2 1 0\n0 1 3 x\n", "line 3: duplicate facet (0, 1, 2)"),
+        ("dim 2\n0 1 2 x\n0 1 3 1 2\n", "line 2: bad weight 'x'"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseError) as err:
+            parse_complex(text)
+        assert str(err.value) == message
+
+
+def test_cochain_names_the_line_whose_field_count_changes(c42):
+    with pytest.raises(ParseError, match=r"^line 3: expected 2 vertices and a value$"):
+        parse_cochain("dim 1\n0 1 1.0\n0 1 2 3\n", c42)
+    with pytest.raises(ParseError, match=r"^line 3: malformed entry$"):
+        parse_cochain("dim 1\n0 2 1.0\n0 x 2.0\n1\n", c42)
+
+
+# the whole-file error of the closure, which the line loop does not check
+_NOT_NORMAL = "facet weights out of range: a weight is not a normal float"
+_JUNK = [
+    "x", "nan", "inf", "-inf", "1e400", "-1", "0", "-0.0", "1e-320", "2.2e-308",
+    "1e-300", "1e300", "1.7e308", "+3", "0003", "3.0", "1_0", "dim", "\u0663",
+    str(2**70), str(-(2**70)), "0.5", "1", "2", "4", "5", "-2",
+]
+
+
+def _mutate(text, rng):
+    """``text`` with one to three edits: junk, dropped, inserted or shuffled
+    tokens, duplicated, swapped or dropped lines, comments, blank lines and
+    trailing fields; lines end in a drawn line break."""
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(1, len(lines)) if len(lines) > 1 and rng.random() < 0.85 else 0
+        fields = lines[i].split(" ")
+        edit = rng.randrange(10)
+        if edit == 0:
+            fields[rng.randrange(len(fields))] = rng.choice(_JUNK)
+        elif edit == 1:
+            del fields[rng.randrange(len(fields))]
+        elif edit == 2:
+            fields.insert(rng.randrange(len(fields) + 1), rng.choice(_JUNK + fields))
+        elif edit == 3:
+            fields.append(rng.choice(_JUNK))
+        elif edit == 4:
+            rng.shuffle(fields)
+        elif edit == 5:
+            fields.append("#" + rng.choice(_JUNK))
+        if edit < 6:
+            lines[i] = " ".join(fields)
+        elif edit == 6:
+            lines.insert(i, lines[i])
+        elif edit == 7:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == 8:
+            lines.insert(i, rng.choice(["", "  ", "\t", "# c", "# " + lines[i]]))
+        else:
+            del lines[i]
+    return rng.choice(["\n", "\n", "\r\n", "\r"]).join(lines)
+
+
+def _bits(X):
+    return [(X.faces(k), weight_vector(X, k).tobytes()) for k in range(-1, X.top_dim + 1)]
+
+
+def _complex_outcome(text):
+    """What the line loop reads from a complex file: the ParseError message,
+    or the dict closure of its facets; the closure's whole-file message where
+    a face's weight is not a normal float."""
+    try:
+        X = oracle.closure_scan(*oracle.complex_lines(text))
+    except ParseError as exc:
+        return str(exc)
+    except OverflowError:  # the facet weights sum past the largest float
+        return _NOT_NORMAL
+    if min(X.weight.values()) < sys.float_info.min:
+        return _NOT_NORMAL
+    return _bits(X)
+
+
+def _cochain_outcome(text, X):
+    try:
+        k, values = oracle.cochain_lines(text, X)
+    except ParseError as exc:
+        return str(exc)
+    expected = np.zeros(X.n_faces(k))
+    expected[list(values)] = list(values.values())
+    return k, expected.tobytes()
+
+
+def _outcome(parse, *args):
+    try:
+        f = parse(*args)
+    except ParseError as exc:
+        return str(exc)
+    return _bits(f) if parse is parse_complex else (f.dim, f.values.tobytes())
+
+
+def test_parse_matches_the_line_loops():
+    # 6,000 seeded mutations of written files, each read the same by the
+    # package and by the oracle's line loops: the same complex or cochain,
+    # bitwise, or the same ParseError message
+    rng = np.random.default_rng(23)
+    big = 2**70
+    complexes = [
+        build_complex(generate("complete", n=5, d=2).facets, list(10.0 ** rng.uniform(-3, 3, 10))),
+        generate("two_triangles"),
+        generate("partite", parts=[2, 2, 2]),
+        build_complex([(0, big, big + 1), (big, big + 1, big + 5), (1, big, big + 5)]),
+    ]
+    files = [(parse_complex, write_complex(X), ()) for X in complexes]
+    for X in complexes[::3]:
+        for k in range(-1, X.top_dim + 1):
+            f = Cochain(X, k, rng.standard_normal(X.n_faces(k)))
+            files.append((parse_cochain, write_cochain(X, f), (X,)))
+    draw = random.Random(23)
+    read, messages = 0, set()
+    for _ in range(6000):
+        parse, text, args = draw.choice(files)
+        text = _mutate(text, draw)
+        expected = _complex_outcome(text) if parse is parse_complex else _cochain_outcome(text, *args)
+        assert _outcome(parse, text, *args) == expected, text
+        if isinstance(expected, str):
+            messages.add(expected)
+        else:
+            read += 1
+    # the mutations reach every rule, and a good share of them reads
+    rules = [
+        "header", "bad dimension", "must be non-negative", "no facets", "optional weight",
+        "bad weight", "non-finite weight", "mixing", "non-integer", "repeated vertices",
+        "negative vertex id", "duplicate facet", "non-positive weight", "subnormal weight",
+        _NOT_NORMAL, "out of range for the complex", "vertices and a value", "malformed entry",
+        "non-finite value", "not in the complex", "duplicate face (",
+    ]
+    assert [rule for rule in rules if not any(rule in m for m in messages)] == []
+    assert read > 1000
+
+
 def test_cochain_token_route(c42):
     clean = parse_cochain("dim 1\n0 1 2.5\n2 3 -1.0\n", c42)
     messy = parse_cochain("# f\r\ndim 1\r\n\r\n3\t2 -1.0\r\n+1 0 2.5", c42)
@@ -243,6 +396,8 @@ def test_generate_rejections():
         generate("complete", n=2, d=2)
     with pytest.raises(ComplexError):
         generate("random_pure", n=4, d=2, m=100, seed=0)
+    with pytest.raises(ComplexError, match="non-negative seed, got -1"):
+        generate("random_pure", n=7, d=2, m=12, seed=-1)
     with pytest.raises(ComplexError):
         generate("nonsense")
 
@@ -418,6 +573,33 @@ def test_cli_out_of_memory_exits_2(c42_file, capsys, monkeypatch):
     assert code == cli.EXIT_USAGE == 2
     assert out.err == "error: out of memory: Unable to allocate 8.27 GiB for an array\n"
     assert out.out == ""
+
+
+def test_cli_negative_seed_exits_2(c42_file, capsys):
+    # numpy refuses a negative seed; the CLI answers with a usage error,
+    # not with exit 1, the code of a violated bound, and a traceback
+    for theorem in cli.THEOREMS:
+        code = cli.main(["verify", c42_file, "--theorem", theorem, "--seed", "-5"])
+        out = capsys.readouterr()
+        assert code == cli.EXIT_USAGE, theorem
+        assert out.err == "error: --seed must be non-negative, got -5\n"
+        assert out.out == ""
+    argv = ["generate", "random_pure", "--n", "7", "--d", "2", "--m", "12", "--seed", "-1"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.err == "error: generate random_pure needs a non-negative seed, got -1\n"
+    assert out.out == ""
+
+
+def test_cli_non_finite_lambda_exits_2(c42_file, capsys):
+    # a NaN or infinite threshold is a usage error: it would otherwise print
+    # NaN or Infinity, which is not JSON
+    for value in ("nan", "inf", "-Infinity"):
+        code = cli.main(["analyze", c42_file, f"--lambda={value}", "--json"])
+        out = capsys.readouterr()
+        assert code == cli.EXIT_USAGE, value
+        assert out.err.startswith("error: --lambda must be finite, got ")
+        assert out.out == ""
 
 
 def test_cli_refuses_a_level_table_that_cannot_fit(c42_file, capsys, monkeypatch):
