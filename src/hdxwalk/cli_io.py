@@ -70,21 +70,21 @@ def _fields(text, what):
     if not len(data):
         raise ParseError(f"empty {what} file")
     head, data = data[0], data[1:]
-    tokens = text.split()
-    if counts[head] != 2 or tokens[0] != "dim":
-        got = lines[head].strip()
-        raise ParseError(f"line {head + 1}: expected 'dim <n>' header, got {got!r}")
+    header = lines[head].split()
+    if len(header) != 2 or header[0] != "dim":
+        raise ParseError(f"line {head + 1}: expected 'dim <n>' header, got {lines[head].strip()!r}")
     try:
-        dim = int(tokens[1])
+        dim = int(header[1])
     except ValueError:
-        raise ParseError(f"line {head + 1}: bad dimension {tokens[1]!r}") from None
+        raise ParseError(f"line {head + 1}: bad dimension {header[1]!r}") from None
+    del lines  # the fields take its memory
+    tokens = text.split()
     del tokens[:2]
     return dim, data + 1, counts[data], tokens
 
 
 def _table(counts, widths):
-    """How many data lines, from the first, share its field count; 0 when
-    that count is not one of ``widths``."""
+    """How many data lines share the first one's field count (0 if not in ``widths``)."""
     if not len(counts) or counts[0] not in widths:
         return 0
     return int(np.argmax(counts != counts[0])) or len(counts)
@@ -97,8 +97,7 @@ def _convert(kind, tokens, n):
     try:
         return list(map(kind, tokens)), np.zeros(n, bool)
     except ValueError:
-        pass
-    values, rejected = [], []
+        values, rejected = [], []
     for token in tokens:
         try:
             values.append(kind(token))
@@ -114,9 +113,11 @@ def _weight_rules(tokens):
     and the rules a line checks first: its token is a float, then finite."""
     weights, rejected = _convert(float, tokens, len(tokens))
     w = np.array(weights, dtype=float)
+    infinite = ~np.isfinite(w)
+    named = {i: tokens[i] for i in np.flatnonzero(rejected | infinite)}  # keeps no other token
     return weights, w, [
-        (rejected, lambda i: f"bad weight {tokens[i]!r}"),
-        (~np.isfinite(w), lambda i: f"non-finite weight {tokens[i]!r}"),
+        (rejected, lambda i: f"bad weight {named[i]!r}"),
+        (infinite, lambda i: f"non-finite weight {named[i]!r}"),
     ]
 
 
@@ -236,21 +237,20 @@ def parse_cochain(text, X):
         raise ParseError(f"cochain dimension {k} out of range for the complex")
     n = _table(counts, (k + 2,))
     del tokens[n * (k + 2) :]
-    entries = tokens[k + 1 :: k + 2]
-    values, bad_value = _convert(float, entries, n)
+    values, bad_value = _convert(float, tokens[k + 1 :: k + 2], n)
+    infinite = ~np.isfinite(values)
+    named = {i: tokens[i * (k + 2) + k + 1] for i in np.flatnonzero(infinite)}
     del tokens[k + 1 :: k + 2]
     ids, bad_id = _convert(int, tokens, n)
     faces = np.sort(_id_array(ids, n, k + 1), axis=1, kind="stable")
     face, vertex_rules = _vertex_rules(faces)
+    repeat = lambda stop: _first_repeat(_positions(X, faces[:stop]).tolist())  # noqa: E731
     rules = [
         (bad_id | bad_value, lambda i: "malformed entry"),
-        (~np.isfinite(values), lambda i: f"non-finite value {entries[i]!r}"),
+        (infinite, lambda i: f"non-finite value {named[i]!r}"),
         *vertex_rules,
         (lambda stop: _missing(X, faces[:stop]), lambda i: f"face {face(i)} is not in the complex"),
-        (
-            lambda stop: _first_repeat(_positions(X, faces[:stop]).tolist()),
-            lambda i: f"duplicate face {face(i)}",
-        ),
+        (repeat, lambda i: f"duplicate face {face(i)}"),
     ]
     if n == len(lines) and _clean(rules):
         try:
