@@ -113,11 +113,11 @@ def _weight_rules(tokens):
     and the rules a line checks first: its token is a float, then finite."""
     weights, rejected = _convert(float, tokens, len(tokens))
     w = np.array(weights, dtype=float)
-    infinite = ~np.isfinite(w)
-    named = {i: tokens[i] for i in np.flatnonzero(rejected | infinite)}  # keeps no other token
+    nonfinite = ~np.isfinite(w)
+    named = {i: tokens[i] for i in np.flatnonzero(rejected | nonfinite)}  # keeps no other token
     return weights, w, [
         (rejected, lambda i: f"bad weight {named[i]!r}"),
-        (infinite, lambda i: f"non-finite weight {named[i]!r}"),
+        (nonfinite, lambda i: f"non-finite weight {named[i]!r}"),
     ]
 
 
@@ -238,8 +238,8 @@ def parse_cochain(text, X):
     n = _table(counts, (k + 2,))
     del tokens[n * (k + 2) :]
     values, bad_value = _convert(float, tokens[k + 1 :: k + 2], n)
-    infinite = ~np.isfinite(values)
-    named = {i: tokens[i * (k + 2) + k + 1] for i in np.flatnonzero(infinite)}
+    nonfinite = ~np.isfinite(values)
+    named = {i: tokens[i * (k + 2) + k + 1] for i in np.flatnonzero(nonfinite)}
     del tokens[k + 1 :: k + 2]
     ids, bad_id = _convert(int, tokens, n)
     faces = np.sort(_id_array(ids, n, k + 1), axis=1, kind="stable")
@@ -247,7 +247,7 @@ def parse_cochain(text, X):
     repeat = lambda stop: _first_repeat(_positions(X, faces[:stop]).tolist())  # noqa: E731
     rules = [
         (bad_id | bad_value, lambda i: "malformed entry"),
-        (infinite, lambda i: f"non-finite value {named[i]!r}"),
+        (nonfinite, lambda i: f"non-finite value {named[i]!r}"),
         *vertex_rules,
         (lambda stop: _missing(X, faces[:stop]), lambda i: f"face {face(i)} is not in the complex"),
         (repeat, lambda i: f"duplicate face {face(i)}"),
