@@ -13,8 +13,12 @@ A file is read on one route: the text is split into its fields once,
 vertex ids go through ``int`` and weights or values through ``float`` (so
 they accept what ``int`` and ``float`` accept), and each rule above is
 written once, as a mask over the data lines that share the first one's
-field count.  A ParseError names the first line a rule rejects, with the
-first rule it breaks, or else the first line with another field count.
+field count.  The ids are converted by one ``np.array(tokens, np.int64)``,
+in which numpy calls ``int`` on each token; only an id past 64 bits sends
+them through a list of ``int``, and only a token ``int`` rejects through
+one ``int`` at a time.  A ParseError names the first line a rule rejects,
+with the first rule it breaks, or else the first line with another field
+count.
 A complex's facets go to ``complex_core._closure`` as one int array; a
 cochain's faces are found by the complex's integer face keys.  Scans that
 only locate a fault run once a check has failed.
@@ -93,8 +97,15 @@ def _table(counts, widths):
 def _convert(kind, tokens, n):
     """``kind`` (``int`` or ``float``) of every token, and the mask of the
     ``n`` lines the tokens fill that hold one it rejects, which reads as
-    ``kind()``; token by token only after a ValueError."""
+    ``kind()``.  Ints come as one int64 array, for which numpy calls ``int``
+    on each token; past 64 bits as a list (see ``complex_core._id_array``).
+    Token by token only after a ValueError."""
     try:
+        if kind is int:
+            try:
+                return np.array(tokens, np.int64), np.zeros(n, bool)
+            except OverflowError:  # an id needs more than 64 bits
+                pass
         return list(map(kind, tokens)), np.zeros(n, bool)
     except ValueError:
         values, rejected = [], []

@@ -19,7 +19,9 @@ is read-only (:func:`_read_only`).
 Faces are found by integer keys (:func:`_keys`), and downward incidence is
 one int array per pair of dimensions (:func:`_subfaces`), from which every
 operator and the link spectra are scattered; :func:`_closure` builds the
-keys and the one-step arrays (:func:`_sub`) with the complex.
+keys and the one-step arrays (:func:`_sub`) with the complex, from one
+sort per dimension whose inverse gives every facet subset its face
+(:func:`_distinct`), so building searches no table.
 Links are read off the rank rows: the k-faces over a face sigma are the
 rows of ``_rows(X, k)`` that hold every rank of sigma, found by one mask
 (:func:`_over`).  Removing sigma from the sets that contain it keeps
@@ -248,7 +250,7 @@ def _id_array(ids, n, width):
     """The vertex ids ``ids`` (flat, or ``n`` sequences of ``width``) as an
     (n, width) array: int64, or object when an id needs more than 64 bits."""
     try:
-        array = np.array(ids, dtype=np.int64)
+        array = np.asarray(ids, dtype=np.int64)
     except OverflowError:
         array = np.array(ids, dtype=object)
     return array.reshape(n, width)
@@ -266,12 +268,24 @@ def _canonical_rows(ids, n, width):
 
 def _distinct(values):
     """The distinct entries of the 1-D array ``values`` in ascending order,
-    and the position in ``values`` of the first occurrence of each."""
-    order = values.argsort(kind="stable")
+    the position in ``values`` of one occurrence of each, and the inverse:
+    the position of each entry of ``values`` among the distinct ones.  One
+    sort of any kind gives all three, ``inverse[order] = cumsum(first) - 1``,
+    since tied entries are equal whichever of them comes first.  Passed a
+    temporary, it lets ``values`` go once sorted, so it holds at most three
+    arrays of that length at once."""
+    order = values.argsort()
     ordered = values[order]
-    first = np.ones(len(values), bool)
+    del values
+    first = np.ones(len(ordered), bool)
     first[1:] = ordered[1:] != ordered[:-1]
-    return ordered[first], order[first]
+    distinct, rep = ordered[first], order[first]
+    del ordered
+    rank = np.cumsum(first, dtype=np.intp)
+    rank -= 1
+    inverse = np.empty_like(rank)
+    inverse[order] = rank
+    return distinct, rep, inverse
 
 
 def _closure(facets, facet_weights):
@@ -280,12 +294,15 @@ def _closure(facets, facet_weights):
     :func:`build_complex` and ``parse_complex`` check both first.  Raises
     ComplexError on a duplicate facet or a weight that is not a normal float.
 
-    The vertices are ranked, and level by level every facet's k-subsets,
+    One sort of the ids ranks the vertices: the ranks are its inverse
+    (:func:`_distinct`).  Level by level every facet's k-subsets,
     facet-major, are keyed by (position of the subset minus its last vertex
     among the (k-1)-faces) * n_0 + (rank of its last vertex).  Keys ascend
     with the faces' lexicographic order and stay below n_(k-1) * n_0, so
-    the distinct keys are the k-faces in canonical order, and looking each
-    subset's key up among them gives its face.  The facet weights are
+    one sort of the keys gives the k-faces in canonical order, its distinct
+    keys, and each subset's face, its inverse: no level searches.  A key
+    names one face, so the rank row and the subface row read off any one
+    subset with that key are the face's.  The facet weights are
     normalized by their ``math.fsum``, and the weights of a level are one
     ``bincount`` over those faces: the normalized facet weights over each
     face added in facet order from 0.0, as a dict closure adds them.  The
@@ -304,8 +321,8 @@ def _closure(facets, facet_weights):
         except OverflowError:  # the weights sum past the largest float
             total = math.inf
         top /= total
-    ids = _distinct(facets.ravel())[0]
-    ranks = np.searchsorted(ids, facets)
+    ids, _, ranks = _distinct(facets.ravel())
+    ranks = ranks.reshape(m, width)
     n0 = len(ids)
 
     combos = [()]  # the column subsets of the previous level, in order
@@ -319,9 +336,10 @@ def _closure(facets, facet_weights):
         cols = np.array(combos)
         # drop[c, i]: the previous-level subset that is combo c minus its i-th column
         drop = np.array([[index[c[:i] + c[i + 1 :]] for i in range(k + 1)] for c in combos])
-        key = (inv[:, drop[:, k]] * n0 + ranks[:, cols[:, k]]).ravel()
-        keys, rep = _distinct(key)
-        subset_face = np.searchsorted(keys, key)
+        # the subset keys, a temporary that _distinct lets go once sorted
+        keys, rep, subset_face = _distinct(
+            (inv[:, drop[:, k]] * n0 + ranks[:, cols[:, k]]).ravel()
+        )
         f, c = np.divmod(rep, len(combos))
         rows[k] = ranks[f[:, None], cols[c]]
         cached[("keys", k)] = keys

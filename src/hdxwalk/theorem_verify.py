@@ -378,8 +378,11 @@ def trickling_down_check(X, samples=5, seed=0) -> TricklingReport:
     ``F`` (``advantage_tol``).  No link complex is built: the link
     of ``v``, grouped by ``_link_incidences(X, 0)`` as for ``link_lambda2``,
     holds the other endpoints of the edges over ``v`` in ascending position,
-    ``u`` weighing ``w(uv) / (2 w(v))``.
+    ``u`` weighing ``w(uv) / (2 w(v))``.  A negative ``seed`` raises
+    ComplexError.
     """
+    if seed < 0:
+        raise ComplexError(f"trickling_down_check needs a non-negative seed, got {seed}")
     if X.top_dim < 2:
         raise ComplexError("trickling down needs a complex of dimension >= 2")
     lam = float(link_lambda2(X, 0).max())

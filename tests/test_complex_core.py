@@ -37,7 +37,7 @@ from hdxwalk import (
     weight_vector,
     write_complex,
 )
-from hdxwalk.complex_core import _keys, _rows, _sub, _vertex_ids
+from hdxwalk.complex_core import _distinct, _keys, _rows, _sub, _vertex_ids
 from hdxwalk.spectral import link_lambda2
 from hdxwalk.theorem_verify import LEVELLED, check_block, levelled_dims, random_mean_zero_block
 
@@ -454,10 +454,36 @@ def test_closure_matches_closure_scan_on_generated(all_fixtures, skewed83):
     named = all_fixtures + [("skewed_complete83", skewed83)]
     named += [("complete144", generate("complete", n=14, d=4))]
     named += [("partite6666", generate("partite", parts=[6, 6, 6, 6]))]
+    # the sizes the benchmark parses
+    named += [("complete302", generate("complete", n=30, d=2))]
+    named += [("complete163", generate("complete", n=16, d=3))]
     for _, X in named:
         weights = [X.weight[F] for F in X.facets]
         _assert_bitwise(build_complex(X.facets, weights), oracle.closure_scan(X.facets, weights))
         _assert_sub_by_scan(X)
+
+
+def _heavy_repeats(ints):
+    """Lists of up to 300 entries drawn from a pool of at most 6 of ``ints``."""
+    pool = st.lists(ints, min_size=1, max_size=6)
+    return pool.flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=300))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.one_of(
+        _heavy_repeats(st.integers(-(2**63), 2**63 - 1)).map(lambda v: np.array(v, np.int64)),
+        _heavy_repeats(st.one_of(st.integers(0, 9), st.integers(2**64, 2**80))).map(
+            lambda v: np.array(v, dtype=object)
+        ),
+    )
+)
+def test_distinct_values_occurrences_and_inverse(values):
+    # one unstable sort: rep may name any occurrence of a tied value
+    distinct, rep, inverse = _distinct(values)
+    assert (distinct[1:] > distinct[:-1]).all()
+    assert (values[rep] == distinct).all()
+    assert (distinct[inverse] == values).all()
 
 
 def test_ids_beyond_64_bits():

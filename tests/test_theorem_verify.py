@@ -369,6 +369,12 @@ def test_trickling_down_two_triangles(two_tri):
     assert rep.advantage_residual <= 1e-12
 
 
+def test_trickling_down_rejects_a_negative_seed(c42):
+    # numpy's own refusal is a bare ValueError that names no argument
+    with pytest.raises(ComplexError, match="non-negative seed, got -1$"):
+        trickling_down_check(c42, samples=3, seed=-1)
+
+
 def test_trickling_down_rejections():
     X = build_complex([(0, 1, 2), (3, 4, 5)])
     with pytest.raises(HypothesisError):
