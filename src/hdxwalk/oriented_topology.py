@@ -5,8 +5,10 @@ sign under odd permutations of the evaluation tuple; ascending vertex order
 is the underlying orientation throughout.  The coboundary ``delta`` is the
 usual alternating-sign difference operator (with the scalar-to-constant
 convention at dimension -1, so the 0-dimensional coboundaries are exactly
-the constants), and minimality of a cochain within its coset modulo
-coboundaries is a weighted least-squares projection.
+the constants), and the minimal cochain of a coset modulo coboundaries is
+the weighted-orthogonal projection off them, onto the complement of the
+range of the weighted coboundary, whose basis comes from the same sparse
+range routine as the level flag's top lift (``level_decomp._range_of``).
 
 Perfectly balanced sets of faces live at the end of the module: a set of
 k-faces whose weighted density looks the same from every i-face's link.
@@ -20,6 +22,7 @@ import numpy as np
 
 from .complex_core import ComplexError, _cached_op, _sub, canonical_face
 from .cochain_ops import Cochain, LinOp, multi_down, weight_vector
+from .level_decomp import _coords, _embed, _range_of
 
 __all__ = [
     "BalanceReport",
@@ -81,6 +84,11 @@ class OrientedCochain:
         return Cochain(self.complex, self.dim, self.values.copy())
 
 
+def _signs(k):
+    """``(-1)^c`` for column c of ``_sub(X, k)``: the c-th vertex dropped."""
+    return (-1.0) ** np.arange(k + 1)
+
+
 def coboundary(X, i) -> LinOp:
     """Coboundary ``delta_i`` on oriented cochains: alternating sum of the
     values on the vertex-deleted subfaces.  ``delta_{-1}`` lifts the scalar
@@ -92,8 +100,7 @@ def coboundary(X, i) -> LinOp:
     def build():
         sub = _sub(X, i + 1)
         mat = np.zeros((len(sub), X.n_faces(i)))
-        # column j of sub drops the j-th vertex, which carries the sign (-1)^j
-        mat[np.arange(len(sub))[:, None], sub] = (-1.0) ** np.arange(i + 2)
+        mat[np.arange(len(sub))[:, None], sub] = _signs(i + 1)
         return LinOp(i, i + 1, mat)
 
     return _cached_op(X, ("coboundary", i), build)
@@ -102,15 +109,32 @@ def coboundary(X, i) -> LinOp:
 def minimal_representative(X, f: OrientedCochain) -> OrientedCochain:
     """Least-norm element of ``f + im(delta)``: the weighted-orthogonal
     projection of ``f`` off the coboundaries (minimality over the reals is
-    a strictly convex problem, so the projection is the argmin)."""
+    a strictly convex problem, so the projection is the argmin).
+
+    In ``sqrt(w)`` coordinates the coboundaries are the range of
+    ``A = sqrt(W_k) delta_(k-1)``, a sparse lift with ``k+1`` entries a
+    row, ``sqrt(w) (-1)^c`` at the c-th subface.  Its orthonormal basis
+    ``U = [A P, W]`` comes from one ``eigh`` of the ``n_(k-1)``-square Gram
+    ``delta^T W delta``, weak directions passed on to rows of A
+    (``level_decomp._range_of``), and ``(P, W)`` is cached under
+    ``("coboundary_range", k)``.  The representative is
+    ``(y - U U^T y) / sqrt(w)`` for ``y = sqrt(w) f``, the projection taken
+    twice; ``U^T`` is one ``bincount`` and ``U`` one gather, so no
+    ``n_k x n_(k-1)`` matrix is built.
+    """
     k = f.dim
     if k < 0:
         raise ComplexError("minimal_representative needs dimension >= 0")
-    B = coboundary(X, k - 1).matrix
-    w = weight_vector(X, k)
-    sw = np.sqrt(w)
-    g, *_ = np.linalg.lstsq(sw[:, None] * B, sw * f.values, rcond=None)
-    return OrientedCochain(X, k, f.values - B @ g)
+    sub = _sub(X, k)
+    s = np.sqrt(weight_vector(X, k))
+    a = s[:, None] * _signs(k)
+    P, W = _cached_op(
+        X, ("coboundary_range", k), lambda: _range_of(sub, a, X.n_faces(k - 1))[:2]
+    )
+    y = s * f.values
+    for _ in range(2):
+        y = y - _embed(sub, a, P, W, _coords(sub, a, P, W, y))
+    return OrientedCochain(X, k, y / s)
 
 
 def local_minimality_residuals(X, f: OrientedCochain) -> dict:
@@ -122,12 +146,14 @@ def local_minimality_residuals(X, f: OrientedCochain) -> dict:
     exactly when its link-weighted mean vanishes.  That mean is one adjoint
     average of ``f``: ``|(delta^T W f)(s)| / ((k+1) w(s))`` with ``delta``
     the coboundary ``delta_{k-1}`` (the sign ``(-1)^k`` of moving ``v`` to
-    its place cancels under the absolute value).
+    its place cancels under the absolute value), and ``delta^T W f`` is one
+    ``bincount`` over the subfaces of the k-faces, signed ``(-1)^c``.
     """
     k = f.dim
     if k < 1:
         raise ComplexError("local minimality needs dimension >= 1")
-    means = coboundary(X, k - 1).matrix.T @ (weight_vector(X, k) * f.values)
+    wf = weight_vector(X, k) * f.values
+    means = np.bincount(_sub(X, k).ravel(), (wf[:, None] * _signs(k)).ravel(), X.n_faces(k - 1))
     residuals = np.abs(means) / ((k + 1) * weight_vector(X, k - 1))
     return dict(zip(X.faces(k - 1), residuals.tolist()))
 

@@ -21,7 +21,10 @@ for its level table from the compact WY form of the stack's reflectors.
 draw their complexes from.  ``complex_from_faces`` stores a complex given
 as tuple lists and a weight dict, unchecked, which the library never
 builds from; the broken complexes of the ``validate`` tests and the scan
-routes below go through it.  ``closure_scan`` and ``sub_scan`` are the dict
+routes below go through it.  ``minimal_representative_lstsq`` takes a
+cochain's minimal representative by a dense least-squares solve with the
+coboundary, where the package projects off the sparse range basis of the
+weighted coboundary.  ``closure_scan`` and ``sub_scan`` are the dict
 closure and the dict subface lookup that the package's array closure and
 key lookup replaced; ``localize_scan`` and ``restrict_scan`` view a cochain
 in a link face by face, where the package gathers.
@@ -79,25 +82,25 @@ def complex_from_faces(d, faces_by_dim, weight):
 
 
 @st.composite
-def weighted_facets(draw):
+def weighted_facets(draw, decades=12.0):
     """Facets and weights of a random pure complex on at most 7 vertices: a
     subset of the facets of complete(n, d), weights log-uniform over up to
-    12 decades."""
+    ``decades`` decades."""
     n = draw(st.integers(4, 7))
     d = draw(st.integers(1, min(3, n - 2)))
     pool = list(combinations(range(n), d + 1))
     keep = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
     keep[draw(st.integers(0, len(pool) - 1))] = True
     facets = [F for F, kept in zip(pool, keep) if kept]
-    spread = draw(st.floats(0.0, 12.0))
+    spread = draw(st.floats(0.0, decades))
     seed = draw(st.integers(0, 2**32 - 1))
     exps = np.random.default_rng(seed).uniform(-spread, 0.0, len(facets))
     return facets, list(10.0**exps)
 
 
-def weighted_pure_complexes():
+def weighted_pure_complexes(decades=12.0):
     """The complexes of :func:`weighted_facets`."""
-    return weighted_facets().map(lambda drawn: build_complex(*drawn))
+    return weighted_facets(decades).map(lambda drawn: build_complex(*drawn))
 
 
 @st.composite
@@ -387,6 +390,20 @@ def coboundary_scan(X, i):
             sub = sigma[:j] + sigma[j + 1 :]
             mat[r, X.face_index[sub]] += (-1.0) ** j
     return mat
+
+
+def minimal_representative_lstsq(X, f):
+    """Minimal representative of the oriented cochain ``f`` modulo
+    coboundaries by one dense weighted least-squares solve (an SVD of
+    ``sqrt(W_k) delta_(k-1)``, from :func:`coboundary_scan`), where the
+    package projects off the sparse range basis of that lift."""
+    from hdxwalk.oriented_topology import OrientedCochain
+
+    k = f.dim
+    B = coboundary_scan(X, k - 1)
+    sw = np.sqrt([X.weight[s] for s in X.faces(k)])
+    g, *_ = np.linalg.lstsq(sw[:, None] * B, sw * f.values, rcond=None)
+    return OrientedCochain(X, k, f.values - B @ g)
 
 
 def link_lambda2_scan(X, j):

@@ -8,11 +8,14 @@ from hdxwalk import (
     Cochain,
     ComplexError,
     balanced_check,
+    build_complex,
     coboundary,
+    generate,
     inner_product,
     local_minimality_residuals,
     minimal_representative,
     norm_sq,
+    weight_vector,
 )
 from hdxwalk.oriented_topology import OrientedCochain, perm_sign
 
@@ -93,6 +96,49 @@ def test_minimal_representative_is_projection(all_fixtures):
             B = coboundary(X, k - 1).matrix
             w = np.array([X.weight[s] for s in X.faces(k)])
             assert np.max(np.abs(B.T @ (w * fmin.values))) <= RES_TOL
+
+
+def _worst_residual(X, f):
+    return max(local_minimality_residuals(X, f).values())
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(X=oracle.weighted_pure_complexes(decades=20.0), seed=st.integers(0, 2**32 - 1))
+def test_minimal_representative_matches_lstsq_route(X, seed):
+    # Both routes project sqrt(w) f off the range of sqrt(W) delta, whose
+    # condition grows with sqrt(w_max / w_min), so either may sit about
+    # eps sqrt(w_max / w_min) |f|_W off the exact projection: over 1,000
+    # draws the two were at most 11 such units apart in the W-norm.  An
+    # error e moves the residual at a (k-1)-face s, |(delta^T W e)(s)| /
+    # ((k+1) w(s)), by at most |e|_W / sqrt((k+1) w(s)), since the k-faces
+    # over s weigh (k+1) w(s) together.
+    rng = np.random.default_rng(seed)
+    eps = np.finfo(float).eps
+    for k in range(X.top_dim + 1):
+        f = OrientedCochain(X, k, rng.standard_normal(X.n_faces(k)))
+        ours = minimal_representative(X, f)
+        theirs = oracle.minimal_representative_lstsq(X, f)
+        w = weight_vector(X, k)
+        sw = np.sqrt(w)
+        tol = 64 * eps * np.sqrt(w.max() / w.min()) * np.linalg.norm(sw * f.values)
+        assert np.linalg.norm(sw * (ours.values - theirs.values)) <= tol
+        if k:
+            slack = tol / np.sqrt((k + 1) * weight_vector(X, k - 1).min())
+            assert _worst_residual(X, ours) <= _worst_residual(X, theirs) + slack
+
+
+def test_minimal_representative_beyond_20_decades():
+    # complete(10,3) with facet weights 10^U(-20, 0), seed 2, at k = 3: the
+    # dense lstsq route leaves a minimality residual of 1.1e-9 max|f|, above
+    # the CLI's 1e-10 gate, and the range route 2.3e-13 (2 OpenBLAS threads)
+    facets = generate("complete", n=10, d=3).facets
+    X = build_complex(facets, list(10 ** np.random.default_rng(2).uniform(-20, 0, len(facets))))
+    f = OrientedCochain(X, 3, np.random.default_rng(2).standard_normal(X.n_faces(3)))
+    scale = np.max(np.abs(f.values))
+    ours = _worst_residual(X, minimal_representative(X, f))
+    assert ours <= 1e-12 * scale
+    assert ours < _worst_residual(X, oracle.minimal_representative_lstsq(X, f))
+    assert not any(key[0] == "coboundary" for key in X._cache)
 
 
 def test_norm_reduction_by_constant_shift(all_fixtures):
