@@ -20,10 +20,8 @@ symmetrized up-down walk, of norm 1, one ``bincount`` over the subface
 pairs of the k-faces, and one symmetric eigensolve of G gives an
 orthonormal basis ``U = A P`` of range(A); directions weaker than that
 eigensolve resolves go to further ones on what is left, with a row per
-k-face (:func:`_top_range`).  The range basis itself (:func:`_range_of`)
-takes any lift with ``k+1`` entries a row, signed ones included, so
-``oriented_topology`` projects off the coboundaries with it as well.  In
-the coordinates ``c = U^T x`` level i < k-1 is the new part of the lift
+k-face (:func:`_top_range`).
+In the coordinates ``c = U^T x`` level i < k-1 is the new part of the lift
 ``U^T A L_i``, with ``L_i`` the lift from level i to the (k-1)-faces, from
 one eigensolve of its Gram projected off the levels below
 (:func:`_range_basis`); within such a level the basis runs along that
@@ -140,7 +138,7 @@ class LevelBasis:
 
 
 # the share of its norm above which an eigenvalue of the top Gram is taken
-# in (k-1)-face coordinates (see _range_of)
+# in (k-1)-face coordinates (see _top_range)
 STRONG = 1e-2
 
 
@@ -205,12 +203,13 @@ def _top_lift(X, k):
 
 def _gather(sub, a, Y):
     """``A Y`` for Y with a row per (k-1)-face: one gather per column of
-    ``sub``."""
+    ``sub``, each taken into one buffer."""
     a = a.reshape(a.shape + (1,) * (Y.ndim - 1))
     out = Y[sub[:, 0]]
     out *= a[:, 0]
+    part = np.empty_like(out)
     for c in range(1, sub.shape[1]):
-        part = Y[sub[:, c]]
+        np.take(Y, sub[:, c], axis=0, out=part, mode="clip")  # "raise" buffers out
         part *= a[:, c]
         out += part
     return out
@@ -227,42 +226,40 @@ def _scatter(sub, a, Z, m):
 
 
 def _coords(sub, a, P, W, Y):
-    """``U^T Y`` for the basis ``U = [A P, W]`` of :func:`_range_of`."""
+    """``U^T Y`` for the basis ``U = [A P, W]`` of :func:`_top_range`."""
     return np.concatenate([P.T @ _scatter(sub, a, Y, len(P)), W.T @ Y])
 
 
 def _embed(sub, a, P, W, C):
-    """``U C`` for the basis ``U = [A P, W]`` of :func:`_range_of`."""
+    """``U C`` for the basis ``U = [A P, W]`` of :func:`_top_range`."""
     r = P.shape[1]
     out = _gather(sub, a, P @ C[:r])
     out += W @ C[r:]
     return out
 
 
-def _range_of(sub, a, m):
-    """An orthonormal basis ``U = [A P, W]`` of range(A) as ``(P, W, lift)``,
-    for a lift A from the m (k-1)-faces to the k-faces with ``k+1`` entries
-    a row, ``a[t, c]`` at ``(t, sub[t, c])``, signed ones included: the top
-    lift of :func:`_top_lift`, and the weighted coboundary
-    ``sqrt(W_k) delta_(k-1)`` of ``oriented_topology``, with entries
-    ``sqrt(w) (-1)^c``.  ``lift(L)`` is ``U^T A L`` for L with m rows.
+def _top_range(X, k):
+    """An orthonormal basis ``U = [A P, W]`` of range(A) as ``(P, W, lift)``
+    for the top lift A of :func:`_top_lift`, k >= 0; ``lift(L)`` is
+    ``U^T A L`` for L with a row per (k-1)-face.
 
-    ``G = A^T A`` is one ``bincount`` over the (k+1)^2 subface pairs of
-    every k-face; for the top lift it is the symmetrized up-down walk, of
-    norm 1.  One ``eigh`` of G gives its strong directions, eigenvalues at
-    least ``STRONG |G|``, as ``P = V L^-1/2`` with one Newton-Schulz step on
+    ``G = A^T A``, the symmetrized up-down walk, of norm 1, is one
+    ``bincount`` over the (k+1)^2 subface pairs of every k-face.  One
+    ``eigh`` of G gives its strong directions, eigenvalues at least
+    ``STRONG |G|``, as ``P = V L^-1/2`` with one Newton-Schulz step on
     ``P^T G P``.  That Gram carries about eps |G| / L of rounding, so the
     step takes ``A P`` to within about 1e-15 of orthonormal only where L
     is strong.  The weaker directions of G, and those rounding hid in its
     null space, go to the passes of :func:`_passes` as rows of ``A V``,
     with A's thin-SVD rank cut, projected off ``A P`` through P; their
-    blocks are W.  Uniform complexes have none: for the top lift complete,
-    partite and random_pure(30,2,900) complexes have no eigenvalue of G in
-    (0, 0.04), and the coboundaries of complete(14,4) and partite(6,6,6,6)
-    leave W empty at every k.  The rank decision is that of the lower
-    levels' passes: a pass cut of ``sqrt(eps) |G|`` at most, then passes on
-    what is left down to the thin SVD's cut squared.
+    blocks are W.  Uniform complexes have none: complete, partite and
+    random_pure(30,2,900) complexes have no eigenvalue of G in (0, 0.04).
+    The rank decision is that of the lower levels' passes: a pass cut of
+    ``sqrt(eps) |G|`` at most, then passes on what is left down to the
+    thin SVD's cut squared.
     """
+    sub, a = _top_lift(X, k)
+    m = X.n_faces(k - 1)
     cut = (max(len(sub), m) * np.finfo(float).eps) ** 2 * np.vdot(a, a)
     pairs = (sub[:, :, None] * m + sub[:, None, :]).ravel()
     G = np.bincount(pairs, (a[:, :, None] * a[:, None, :]).ravel(), m * m).reshape(m, m)
@@ -286,11 +283,6 @@ def _range_of(sub, a, m):
         return np.vstack([N.T @ (GP.T @ L), AW.T @ L])
 
     return P, W, lift
-
-
-def _top_range(X, k):
-    """:func:`_range_of` the top lift ``A`` of :func:`_top_lift`, k >= 0."""
-    return _range_of(*_top_lift(X, k), X.n_faces(k - 1))
 
 
 # the order at and below which _sign_lu_inverse eliminates one pivot at a time
@@ -428,7 +420,7 @@ def _check_table_fits(k, n, m, r):
     """Refuse, before it is allocated, a level table of k-cochains that the
     process cannot hold, with n = n_k, m = n_(k-1) and r the stack's width.
     Its build holds at most ``n^2 + 2 n r + m r`` doubles: Q and T take
-    ``n^2`` together, the gather that builds Q at most ``2 n r + m r``
+    ``n^2`` together, the gather that builds Q at most ``n r + m r``
     more, and K with the r x r inverse of :func:`_complement` less than
     ``2 n r``."""
     need = 8 * (n * n + 2 * n * r + m * r)

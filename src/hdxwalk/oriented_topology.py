@@ -6,9 +6,9 @@ is the underlying orientation throughout.  The coboundary ``delta`` is the
 usual alternating-sign difference operator (with the scalar-to-constant
 convention at dimension -1, so the 0-dimensional coboundaries are exactly
 the constants), and the minimal cochain of a coset modulo coboundaries is
-the weighted-orthogonal projection off them, onto the complement of the
-range of the weighted coboundary, whose basis comes from the same sparse
-range routine as the level flag's top lift (``level_decomp._range_of``).
+the weighted-orthogonal projection off them, found by CGLS on the
+column-scaled weighted coboundary with the sparse products of the level
+flag's top lift (``level_decomp._gather`` and ``_scatter``).
 
 Perfectly balanced sets of faces live at the end of the module: a set of
 k-faces whose weighted density looks the same from every i-face's link.
@@ -22,7 +22,7 @@ import numpy as np
 
 from .complex_core import ComplexError, _cached_op, _sub, canonical_face
 from .cochain_ops import Cochain, LinOp, multi_down, weight_vector
-from .level_decomp import _coords, _embed, _range_of
+from .level_decomp import _gather, _scatter
 
 __all__ = [
     "BalanceReport",
@@ -84,6 +84,13 @@ class OrientedCochain:
         return Cochain(self.complex, self.dim, self.values.copy())
 
 
+# the worst local-minimality residual minimal_representative stops at, in
+# units of eps max|f|
+CG_TARGET = 2.0
+# the CGLS iterations minimal_representative may take per (k-1)-face
+CG_CAP = 32
+
+
 def _signs(k):
     """``(-1)^c`` for column c of ``_sub(X, k)``: the c-th vertex dropped."""
     return (-1.0) ** np.arange(k + 1)
@@ -111,30 +118,72 @@ def minimal_representative(X, f: OrientedCochain) -> OrientedCochain:
     projection of ``f`` off the coboundaries (minimality over the reals is
     a strictly convex problem, so the projection is the argmin).
 
-    In ``sqrt(w)`` coordinates the coboundaries are the range of
-    ``A = sqrt(W_k) delta_(k-1)``, a sparse lift with ``k+1`` entries a
-    row, ``sqrt(w) (-1)^c`` at the c-th subface.  Its orthonormal basis
-    ``U = [A P, W]`` comes from one ``eigh`` of the ``n_(k-1)``-square Gram
-    ``delta^T W delta``, weak directions passed on to rows of A
-    (``level_decomp._range_of``), and ``(P, W)`` is cached under
-    ``("coboundary_range", k)``.  The representative is
-    ``(y - U U^T y) / sqrt(w)`` for ``y = sqrt(w) f``, the projection taken
-    twice; ``U^T`` is one ``bincount`` and ``U`` one gather, so no
-    ``n_k x n_(k-1)`` matrix is built.
+    In ``sqrt(w)`` coordinates it is ``y - A x`` for ``y = sqrt(w) f`` and
+    x a least-squares solution of ``A x = y`` by CGLS (Hestenes and
+    Stiefel, 1952), with A the weighted coboundary ``sqrt(W_k)
+    delta_(k-1)`` with each column divided by its norm ``d = sqrt((k+1)
+    w_(k-1))``.  A is one gather and ``A^T`` one ``bincount``: no matrix
+    with a row per face is built, nothing is factored or cached.
+
+    ``(A^T r)_s / d_s`` is the local-minimality residual at the (k-1)-face
+    s, and the aim is every residual at most ``CG_TARGET eps max|f|``,
+    rounding, not the CLI's gate.  A run of CG works on the faces still
+    above that, so rounding at faces of large weight does not steer the
+    steps for faces of small weight.  It ends at the target or, once its
+    ``|A^T r|^2`` is down to their rounding, ``(eps max|f|)^2 sum d^2``,
+    at the first step that does not lower their worst residual.  The next
+    run restarts from the true residual of the best iterate, until a
+    restart does not halve the worst residual.  Past ``CG_CAP (n_(k-1) +
+    1)`` iterations a ComplexError is raised: an unconverged projection is
+    never reported.
     """
     k = f.dim
     if k < 0:
         raise ComplexError("minimal_representative needs dimension >= 0")
-    sub = _sub(X, k)
-    s = np.sqrt(weight_vector(X, k))
-    a = s[:, None] * _signs(k)
-    P, W = _cached_op(
-        X, ("coboundary_range", k), lambda: _range_of(sub, a, X.n_faces(k - 1))[:2]
-    )
-    y = s * f.values
-    for _ in range(2):
-        y = y - _embed(sub, a, P, W, _coords(sub, a, P, W, y))
-    return OrientedCochain(X, k, y / s)
+    sub, m = _sub(X, k), X.n_faces(k - 1)
+    sw = np.sqrt(weight_vector(X, k))
+    d = np.sqrt((k + 1) * weight_vector(X, k - 1))
+    a = sw[:, None] * _signs(k) / d[sub]
+    y = sw * f.values
+    eps, top = np.finfo(float).eps, np.max(np.abs(f.values))
+    target, cap = CG_TARGET * eps * top, CG_CAP * (m + 1)
+    x, r, kept, best, steps = np.zeros(m), y, y, np.inf, 0
+    while True:
+        g = _scatter(sub, a, r, m)
+        res = np.abs(g) / d
+        worst = res.max()
+        if worst < best:
+            kept = r
+        if worst <= target or not worst < best / 2:
+            break
+        off = res <= target
+        floor = (eps * top) ** 2 * (d[~off] @ d[~off])
+        g[off] = 0.0
+        p, gamma, best, low, x_low, settled = g, g @ g, worst, worst, x, False
+        while True:
+            steps += 1
+            if steps > cap:
+                raise ComplexError(
+                    f"the minimal representative of a {k}-cochain did not "
+                    f"converge in {cap} CG iterations"
+                )
+            q = _gather(sub, a, p)
+            alpha = gamma / (q @ q)
+            x, r = x + alpha * p, r - alpha * q
+            g = _scatter(sub, a, r, m)
+            g[off] = 0.0
+            now = np.max(np.abs(g) / d)
+            lower = now < low
+            if lower:
+                low, x_low = now, x
+            gamma, previous = g @ g, gamma
+            settled = settled or gamma <= floor
+            if low <= target or (settled and not lower):
+                break
+            p = g + (gamma / previous) * p
+        x = x_low
+        r = y - _gather(sub, a, x)
+    return OrientedCochain(X, k, kept / sw)
 
 
 def local_minimality_residuals(X, f: OrientedCochain) -> dict:

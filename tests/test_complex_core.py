@@ -612,7 +612,7 @@ def test_memo_holds_only_read_only_arrays():
             coboundary(X, k - 1)  # minimal_representative builds no dense coboundary
     families = {key[0] for key in X._cache}
     assert {"sub", "keys", "link_lambda2", "nonlazy", "up_down", "multi_down"} <= families
-    assert {"level_bases", "coboundary", "coboundary_range", "link"} <= families
+    assert {"level_bases", "coboundary", "link"} <= families
     arrays = list(_memo_arrays(X))
     assert len(arrays) > 4 * (X.top_dim + 2)
     assert not any(a.flags.writeable for a in arrays)

@@ -16,6 +16,8 @@ from hdxwalk import (
     minimal_representative,
     norm_sq,
     weight_vector,
+    write_cochain,
+    write_complex,
 )
 from hdxwalk.oriented_topology import OrientedCochain, perm_sign
 
@@ -130,15 +132,49 @@ def test_minimal_representative_matches_lstsq_route(X, seed):
 def test_minimal_representative_beyond_20_decades():
     # complete(10,3) with facet weights 10^U(-20, 0), seed 2, at k = 3: the
     # dense lstsq route leaves a minimality residual of 1.1e-9 max|f|, above
-    # the CLI's 1e-10 gate, and the range route 2.3e-13 (2 OpenBLAS threads)
+    # the CLI's 1e-10 gate, and CGLS 3.1e-15 in about 620 iterations
     facets = generate("complete", n=10, d=3).facets
     X = build_complex(facets, list(10 ** np.random.default_rng(2).uniform(-20, 0, len(facets))))
     f = OrientedCochain(X, 3, np.random.default_rng(2).standard_normal(X.n_faces(3)))
     scale = np.max(np.abs(f.values))
+    _worst_residual(X, f)  # the subface arrays and weights the projection reads
+    memo = set(X._cache)
     ours = _worst_residual(X, minimal_representative(X, f))
+    assert set(X._cache) == memo  # the projection caches nothing
     assert ours <= 1e-12 * scale
     assert ours < _worst_residual(X, oracle.minimal_representative_lstsq(X, f))
-    assert not any(key[0] == "coboundary" for key in X._cache)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_minimal_representative_passes_the_gate_on_skewed_halves(seed):
+    # 17 of complete(7,3)'s 35 facets with weights 10^U(-20, 0), a 2-cochain:
+    # projecting with one eigh of the unscaled Gram delta^T W delta, whose
+    # column norms spread as the weights do, left 40 of these 60 above the
+    # CLI's 1e-10 max|f| gate; CGLS on the column-scaled coboundary leaves
+    # none above 1e-13 max|f|
+    rng = np.random.default_rng(seed)
+    facets = generate("complete", n=7, d=3).facets
+    pick = sorted(rng.choice(len(facets), 17, replace=False))
+    X = build_complex([facets[i] for i in pick], list(10 ** rng.uniform(-20, 0, 17)))
+    f = OrientedCochain(X, 2, np.random.default_rng(1000 + seed).standard_normal(X.n_faces(2)))
+    assert _worst_residual(X, minimal_representative(X, f)) <= 1e-10 * np.max(np.abs(f.values))
+
+
+def test_minimal_representative_iteration_cap(c42, tmp_path, monkeypatch, capsys):
+    # past CG_CAP iterations per (k-1)-face the projection is refused, and
+    # the CLI exits 2 with the error, never 1 with an unconverged verdict
+    from hdxwalk import cli, oriented_topology
+
+    f = OrientedCochain(c42, 1, np.random.default_rng(3).standard_normal(c42.n_faces(1)))
+    monkeypatch.setattr(oriented_topology, "CG_CAP", 0)
+    with pytest.raises(ComplexError, match="did not converge in 0 CG iterations"):
+        minimal_representative(c42, f)
+    cx, cf = tmp_path / "c42.cx", tmp_path / "f.cf"
+    cx.write_text(write_complex(c42))
+    cf.write_text(write_cochain(c42, f.as_cochain()))
+    assert cli.main(["minimize", str(cx), "--cochain", str(cf), "--json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "did not converge" in out.err
 
 
 def test_norm_reduction_by_constant_shift(all_fixtures):
