@@ -144,8 +144,11 @@ def minimal_representative(X, f: OrientedCochain) -> OrientedCochain:
     sw = np.sqrt(weight_vector(X, k))
     d = np.sqrt((k + 1) * weight_vector(X, k - 1))
     a = sw[:, None] * _signs(k) / d[sub]
-    y = sw * f.values
-    eps, top = np.finfo(float).eps, np.max(np.abs(f.values))
+    # f scaled by a power of two to max|f| in [0.5, 1), exactly, so no
+    # inner product overflows or underflows
+    e = np.frexp(np.max(np.abs(f.values)))[1]
+    y = sw * np.ldexp(f.values, -e)
+    eps, top = np.finfo(float).eps, np.ldexp(np.max(np.abs(f.values)), -e)
     target, cap = CG_TARGET * eps * top, CG_CAP * (m + 1)
     x, r, kept, best, steps = np.zeros(m), y, y, np.inf, 0
     while True:
@@ -183,7 +186,7 @@ def minimal_representative(X, f: OrientedCochain) -> OrientedCochain:
             p = g + (gamma / previous) * p
         x = x_low
         r = y - _gather(sub, a, x)
-    return OrientedCochain(X, k, kept / sw)
+    return OrientedCochain(X, k, np.ldexp(kept / sw, e))
 
 
 def local_minimality_residuals(X, f: OrientedCochain) -> dict:

@@ -160,6 +160,17 @@ def test_minimal_representative_passes_the_gate_on_skewed_halves(seed):
     assert _worst_residual(X, minimal_representative(X, f)) <= 1e-10 * np.max(np.abs(f.values))
 
 
+def test_minimal_representative_at_extreme_scales(c42):
+    # scaling f by a power of two scales its representative exactly, near
+    # the largest and smallest normal floats too, where the squared norms
+    # CGLS takes of an unscaled f overflow or underflow
+    f = np.random.default_rng(4).standard_normal(c42.n_faces(1))
+    base = minimal_representative(c42, OrientedCochain(c42, 1, f)).values
+    for e in (-900, 900):
+        scaled = minimal_representative(c42, OrientedCochain(c42, 1, np.ldexp(f, e))).values
+        assert np.array_equal(scaled, np.ldexp(base, e))
+
+
 def test_minimal_representative_iteration_cap(c42, tmp_path, monkeypatch, capsys):
     # past CG_CAP iterations per (k-1)-face the projection is refused, and
     # the CLI exits 2 with the error, never 1 with an unconverged verdict
