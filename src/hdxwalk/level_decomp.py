@@ -20,18 +20,17 @@ symmetrized up-down walk, of norm 1, one ``bincount`` over the subface
 pairs of the k-faces, and one symmetric eigensolve of G gives an
 orthonormal basis ``U = A P`` of range(A); directions weaker than that
 eigensolve resolves go to further ones on what is left, with a row per
-k-face (:func:`_top_range`).
-In the coordinates ``c = U^T x`` level i < k-1 is the new part of the lift
-``U^T A L_i``, with ``L_i`` the lift from level i to the (k-1)-faces, from
-one eigensolve of its Gram projected off the levels below
-(:func:`_range_basis`); within such a level the basis runs along that
-Gram's eigenvectors, strongest first, and is otherwise free: where
-eigenvalues repeat, rounding picks it.  Level k-1 is what the lower levels
-leave of range(A).  ``U^T`` is one ``bincount`` and ``U`` one gather, so
-the flag (:func:`_flag`) and :func:`proper_decompose` build no lift or
-stack with a row per k-face, and a basis with one only for the weak
-directions (none on uniform complexes); the top component is ``sqrt(w) f``
-less its part in range(A), taken twice.
+k-face (:func:`_top_range`).  In the coordinates ``c = U^T x``
+level i < k-1 is the new part of the lift ``U^T A L_i``, with ``L_i``
+the lift from level i to the (k-1)-faces, from one eigensolve of its Gram
+projected off the levels below (:func:`_range_basis`); within such a level
+the basis runs along that Gram's eigenvectors, strongest first, and is
+otherwise free: where eigenvalues repeat, rounding picks it.  Level k-1 is
+what the lower levels leave of range(A).  ``U^T`` is one ``bincount`` and
+``U`` one gather, so the flag (:func:`_flag`) and :func:`proper_decompose`
+build no lift or stack with a row per k-face, and a basis with one only
+for the weak directions (none on uniform complexes); the top component is
+``sqrt(w) f`` less its part in range(A), taken twice.
 
 The level bases that the certificates read are one table per dimension
 (:func:`_level_bases`): the flag taken to k-face rows by one gather, level
@@ -203,13 +202,12 @@ def _top_lift(X, k):
 
 def _gather(sub, a, Y):
     """``A Y`` for Y with a row per (k-1)-face: one gather per column of
-    ``sub``, each taken into one buffer."""
+    ``sub``."""
     a = a.reshape(a.shape + (1,) * (Y.ndim - 1))
     out = Y[sub[:, 0]]
     out *= a[:, 0]
-    part = np.empty_like(out)
     for c in range(1, sub.shape[1]):
-        np.take(Y, sub[:, c], axis=0, out=part, mode="clip")  # "raise" buffers out
+        part = Y[sub[:, c]]
         part *= a[:, c]
         out += part
     return out
@@ -420,7 +418,7 @@ def _check_table_fits(k, n, m, r):
     """Refuse, before it is allocated, a level table of k-cochains that the
     process cannot hold, with n = n_k, m = n_(k-1) and r the stack's width.
     Its build holds at most ``n^2 + 2 n r + m r`` doubles: Q and T take
-    ``n^2`` together, the gather that builds Q at most ``n r + m r``
+    ``n^2`` together, the gather that builds Q at most ``2 n r + m r``
     more, and K with the r x r inverse of :func:`_complement` less than
     ``2 n r``."""
     need = 8 * (n * n + 2 * n * r + m * r)

@@ -87,6 +87,10 @@ class OrientedCochain:
 # the worst local-minimality residual minimal_representative stops at, in
 # units of eps max|f|
 CG_TARGET = 2.0
+# the worst residual, in units of eps max|f|, above which a projection that
+# stalled or ran out of iterations is refused: about 2.3e-13 max|f|, far
+# under the CLI's 1e-10 max|f| gate
+CG_BOUND = 1024.0
 # the CGLS iterations minimal_representative may take per (k-1)-face
 CG_CAP = 32
 
@@ -127,15 +131,17 @@ def minimal_representative(X, f: OrientedCochain) -> OrientedCochain:
 
     ``(A^T r)_s / d_s`` is the local-minimality residual at the (k-1)-face
     s, and the aim is every residual at most ``CG_TARGET eps max|f|``,
-    rounding, not the CLI's gate.  A run of CG works on the faces still
+    rounding, not the CLI's gate.  A run of CG works on the n faces still
     above that, so rounding at faces of large weight does not steer the
     steps for faces of small weight.  It ends at the target or, once its
     ``|A^T r|^2`` is down to their rounding, ``(eps max|f|)^2 sum d^2``,
-    at the first step that does not lower their worst residual.  The next
-    run restarts from the true residual of the best iterate, until a
-    restart does not halve the worst residual.  Past ``CG_CAP (n_(k-1) +
-    1)`` iterations a ComplexError is raised: an unconverged projection is
-    never reported.
+    after ``2 (n + 1)`` steps that do not lower their worst residual: in
+    exact arithmetic CG needs at most n steps, and under skewed weights its
+    residuals rise for many steps before they fall.  The next run restarts
+    from the true residual of the best iterate, until a restart does not
+    halve the worst residual, or ``CG_CAP (n_(k-1) + 1)`` iterations are
+    spent.  If the worst residual is then above ``CG_BOUND eps max|f|`` a
+    ComplexError is raised: an unconverged projection is never reported.
     """
     k = f.dim
     if k < 0:
@@ -157,35 +163,35 @@ def minimal_representative(X, f: OrientedCochain) -> OrientedCochain:
         worst = res.max()
         if worst < best:
             kept = r
-        if worst <= target or not worst < best / 2:
+        if worst <= target or not worst < best / 2 or steps >= cap:
             break
-        off = res <= target
-        floor = (eps * top) ** 2 * (d[~off] @ d[~off])
-        g[off] = 0.0
-        p, gamma, best, low, x_low, settled = g, g @ g, worst, worst, x, False
-        while True:
-            steps += 1
-            if steps > cap:
-                raise ComplexError(
-                    f"the minimal representative of a {k}-cochain did not "
-                    f"converge in {cap} CG iterations"
-                )
+        on = res > target
+        g[~on] = 0.0
+        floor = (eps * top) ** 2 * (d[on] @ d[on])
+        p, gamma, best, low, x_low = g, g @ g, worst, worst, x
+        idle, patience, settled = 0, 2 * (np.count_nonzero(on) + 1), False
+        while steps < cap:
+            steps, idle = steps + 1, idle + 1
             q = _gather(sub, a, p)
             alpha = gamma / (q @ q)
             x, r = x + alpha * p, r - alpha * q
             g = _scatter(sub, a, r, m)
-            g[off] = 0.0
+            g[~on] = 0.0
             now = np.max(np.abs(g) / d)
-            lower = now < low
-            if lower:
-                low, x_low = now, x
+            if now < low:
+                low, x_low, idle = now, x, 0
             gamma, previous = g @ g, gamma
             settled = settled or gamma <= floor
-            if low <= target or (settled and not lower):
+            if low <= target or (settled and idle >= patience):
                 break
             p = g + (gamma / previous) * p
         x = x_low
         r = y - _gather(sub, a, x)
+    if min(worst, best) > CG_BOUND * eps * top:
+        raise ComplexError(
+            f"the minimal representative of a {k}-cochain did not converge: "
+            f"local residual {min(worst, best) / top:.2g} max|f| after {steps} CG iterations"
+        )
     return OrientedCochain(X, k, np.ldexp(kept / sw, e))
 
 

@@ -132,7 +132,7 @@ def test_minimal_representative_matches_lstsq_route(X, seed):
 def test_minimal_representative_beyond_20_decades():
     # complete(10,3) with facet weights 10^U(-20, 0), seed 2, at k = 3: the
     # dense lstsq route leaves a minimality residual of 1.1e-9 max|f|, above
-    # the CLI's 1e-10 gate, and CGLS 3.1e-15 in about 620 iterations
+    # the CLI's 1e-10 gate, and CGLS 4.8e-16 max|f|
     facets = generate("complete", n=10, d=3).facets
     X = build_complex(facets, list(10 ** np.random.default_rng(2).uniform(-20, 0, len(facets))))
     f = OrientedCochain(X, 3, np.random.default_rng(2).standard_normal(X.n_faces(3)))
@@ -143,6 +143,7 @@ def test_minimal_representative_beyond_20_decades():
     assert set(X._cache) == memo  # the projection caches nothing
     assert ours <= 1e-12 * scale
     assert ours < _worst_residual(X, oracle.minimal_representative_lstsq(X, f))
+    assert not any(key[0] == "coboundary" for key in X._cache)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -151,7 +152,7 @@ def test_minimal_representative_passes_the_gate_on_skewed_halves(seed):
     # projecting with one eigh of the unscaled Gram delta^T W delta, whose
     # column norms spread as the weights do, left 40 of these 60 above the
     # CLI's 1e-10 max|f| gate; CGLS on the column-scaled coboundary leaves
-    # none above 1e-13 max|f|
+    # none above 1e-14 max|f|
     rng = np.random.default_rng(seed)
     facets = generate("complete", n=7, d=3).facets
     pick = sorted(rng.choice(len(facets), 17, replace=False))
@@ -171,21 +172,44 @@ def test_minimal_representative_at_extreme_scales(c42):
         assert np.array_equal(scaled, np.ldexp(base, e))
 
 
-def test_minimal_representative_iteration_cap(c42, tmp_path, monkeypatch, capsys):
-    # past CG_CAP iterations per (k-1)-face the projection is refused, and
-    # the CLI exits 2 with the error, never 1 with an unconverged verdict
-    from hdxwalk import cli, oriented_topology
+def _refused(X, f, tmp_path, capsys):
+    # the CLI exits 2 with the projection's error, never 1 with a verdict on
+    # an unconverged representative
+    from hdxwalk import cli
 
-    f = OrientedCochain(c42, 1, np.random.default_rng(3).standard_normal(c42.n_faces(1)))
-    monkeypatch.setattr(oriented_topology, "CG_CAP", 0)
-    with pytest.raises(ComplexError, match="did not converge in 0 CG iterations"):
-        minimal_representative(c42, f)
-    cx, cf = tmp_path / "c42.cx", tmp_path / "f.cf"
-    cx.write_text(write_complex(c42))
-    cf.write_text(write_cochain(c42, f.as_cochain()))
+    cx, cf = tmp_path / "X.cx", tmp_path / "f.cf"
+    cx.write_text(write_complex(X))
+    cf.write_text(write_cochain(X, f.as_cochain()))
     assert cli.main(["minimize", str(cx), "--cochain", str(cf), "--json"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "did not converge" in out.err
+
+
+def test_minimal_representative_iteration_cap(c42, tmp_path, monkeypatch, capsys):
+    # past CG_CAP iterations per (k-1)-face a residual above CG_BOUND is
+    # refused
+    from hdxwalk import oriented_topology
+
+    f = OrientedCochain(c42, 1, np.random.default_rng(3).standard_normal(c42.n_faces(1)))
+    monkeypatch.setattr(oriented_topology, "CG_CAP", 0)
+    with pytest.raises(ComplexError, match="did not converge: .* after 0 CG iterations"):
+        minimal_representative(c42, f)
+    _refused(c42, f, tmp_path, capsys)
+
+
+def test_minimal_representative_stall(c42, tmp_path, monkeypatch, capsys):
+    # with no residual small enough, the restarts stall at rounding well
+    # before the cap, and a stalled residual above CG_BOUND is refused too
+    from hdxwalk import oriented_topology
+
+    f = OrientedCochain(c42, 1, np.random.default_rng(3).standard_normal(c42.n_faces(1)))
+    monkeypatch.setattr(oriented_topology, "CG_TARGET", 0.0)
+    monkeypatch.setattr(oriented_topology, "CG_BOUND", 0.0)
+    with pytest.raises(ComplexError, match="did not converge") as err:
+        minimal_representative(c42, f)
+    steps = int(str(err.value).split()[-3])  # "... after <steps> CG iterations"
+    assert 0 < steps < oriented_topology.CG_CAP * (c42.n_faces(0) + 1)
+    _refused(c42, f, tmp_path, capsys)
 
 
 def test_norm_reduction_by_constant_shift(all_fixtures):
