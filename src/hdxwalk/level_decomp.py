@@ -9,11 +9,16 @@ of dimension) and localization (``f_s(t) = f(s | t)``, dimension drops by
 A k-cochain is *i-level* (localization viewer) when its viewed mean
 vanishes at every (i-1)-face; equivalently it is W-orthogonal to the range
 ``R_{i-1}`` of the lift ``multi_up(X, i-1, k-i+1)``.  These ranges form a
-flag ``R_{-1} <= R_0 <= ... <= R_{k-1}`` (``R_{-1}`` the constants), so one
-block Gram-Schmidt over it gives every proper level ``R_i - R_{i-1}`` below
-the top and the orthogonal decomposition ``f = f_{-1} + f_0 + ... + f_k``.
+flag ``R_{-1} <= R_0 <= ... <= R_{k-1}`` (``R_{-1}`` the constants), and
+the proper level i is ``R_i - R_{i-1}``, so the orthogonal decomposition
+``f = f_{-1} + f_0 + ... + f_k`` needs only the projections onto the
+ranges: :func:`proper_decompose` takes each by CGLS on its lift with
+columns scaled to unit norm (:func:`_cgls`, the loop the minimal cochains
+of ``oriented_topology`` run too), one gather and one ``bincount`` a step,
+with no basis and no Gram; the memo gains only the subface arrays.
 
-The flag lives in the coordinates of range(A) = ``R_{k-1}`` for the top
+Bases come from one block Gram-Schmidt over the flag, which lives in the
+coordinates of range(A) = ``R_{k-1}`` for the top
 lift ``A = sqrt(W_k) diff(X, k-1) W_(k-1)^-1/2``, an ``n_k x n_(k-1)``
 matrix with ``k+1`` entries a row.  Its Gram ``G = A^T A`` is the
 symmetrized up-down walk, of norm 1, one ``bincount`` over the subface
@@ -27,10 +32,11 @@ projected off the levels below (:func:`_range_basis`); within such a level
 the basis runs along that Gram's eigenvectors, strongest first, and is
 otherwise free: where eigenvalues repeat, rounding picks it.  Level k-1 is
 what the lower levels leave of range(A).  ``U^T`` is one ``bincount`` and
-``U`` one gather, so the flag (:func:`_flag`) and :func:`proper_decompose`
-build no lift or stack with a row per k-face, and a basis with one only
-for the weak directions (none on uniform complexes); the top component is
-``sqrt(w) f`` less its part in range(A), taken twice.
+``U`` one gather, so the flag (:func:`_flag`) builds no lift or stack with
+a row per k-face, and a basis with one only for the weak directions (none
+on uniform complexes).  A decomposition whose CGLS misses its target, as
+skewed weights can make it, is taken in these coordinates instead
+(:func:`_flag_levels`).
 
 The level bases that the certificates read are one table per dimension
 (:func:`_level_bases`): the flag taken to k-face rows by one gather, level
@@ -58,6 +64,7 @@ from .complex_core import (
     _find,
     _over,
     _sub,
+    _subfaces,
     canonical_face,
     link_of,
 )
@@ -221,6 +228,74 @@ def _scatter(sub, a, Z, m):
     pos = (sub[:, :, None] * p + np.arange(p)).ravel()
     out = np.bincount(pos, (a[:, :, None] * Z2[:, None, :]).ravel(), m * p)
     return out.reshape((m,) + Z.shape[1:])
+
+
+# the worst per-face residual a CGLS projection aims at, in units of eps max|f|
+CG_TARGET = 2.0
+
+
+def _cgls(sub, a, d, sw, f, target, cap):
+    """``(g, worst, steps)``: the cochain g of ``r / sw`` for r the
+    least-squares residual ``y - A x`` of ``y = sw f``, with A the lift with
+    the entry ``a[t, c]`` at ``(t, sub[t, c])`` and column norms d, its
+    worst per-face residual ``|A^T r|_s / d_s`` in f's units and the CGLS
+    iterations taken (Hestenes and Stiefel, 1952).  A is one gather and
+    ``A^T`` one ``bincount``: no Gram is formed and nothing is factored.
+
+    f is scaled by a power of two to max|f| in [0.5, 1), exactly, so no
+    inner product overflows or underflows; a non-finite value raises a
+    ComplexError.  The aim is every per-face residual at most ``target eps
+    max|f|``.  A run of CG works on the n faces still above that, so
+    rounding at faces of large weight does not steer the steps for faces of
+    small weight.  It ends at the target or, once its ``|A^T r|^2`` is down
+    to their rounding, ``(eps max|f|)^2 sum d^2``, after ``2 (n + 1)``
+    steps that do not lower their worst residual: in exact arithmetic CG
+    needs at most n steps, and under skewed weights its residuals rise for
+    many steps before they fall.  The next run restarts from the true
+    residual of the best iterate, until a restart does not halve the worst
+    residual, or ``cap`` iterations are spent.  The residual returned is
+    the best one seen, and the caller judges its worst.
+    """
+    m = len(d)
+    peak = np.max(np.abs(f), initial=0.0)
+    if not np.isfinite(peak):
+        raise ComplexError("a cochain with a non-finite value cannot be projected")
+    e = np.frexp(peak)[1]
+    y = sw * np.ldexp(f, -e)
+    eps, top = np.finfo(float).eps, np.ldexp(peak, -e)
+    target = target * eps * top
+    x, r, kept, best, steps = np.zeros(m), y, y, np.inf, 0
+    while True:
+        g = _scatter(sub, a, r, m)
+        res = np.abs(g) / d
+        worst = res.max()
+        if worst < best:
+            kept = r
+        if worst <= target or not worst < best / 2 or steps >= cap:
+            break
+        on = res > target
+        g[~on] = 0.0
+        floor = (eps * top) ** 2 * (d[on] @ d[on])
+        p, gamma, best, low, x_low = g, g @ g, worst, worst, x
+        idle, patience, settled = 0, 2 * (np.count_nonzero(on) + 1), False
+        while steps < cap:
+            steps, idle = steps + 1, idle + 1
+            q = _gather(sub, a, p)
+            alpha = gamma / (q @ q)
+            x, r = x + alpha * p, r - alpha * q
+            g = _scatter(sub, a, r, m)
+            g[~on] = 0.0
+            now = np.max(np.abs(g) / d)
+            if now < low:
+                low, x_low, idle = now, x, 0
+            gamma, previous = g @ g, gamma
+            settled = settled or gamma <= floor
+            if low <= target or (settled and idle >= patience):
+                break
+            p = g + (gamma / previous) * p
+        x = x_low
+        r = y - _gather(sub, a, x)
+    return np.ldexp(kept / sw, e), np.ldexp(min(worst, best), e), steps
 
 
 def _coords(sub, a, P, W, Y):
@@ -499,8 +574,60 @@ class LevelDecomposition:
         return sum(f.values for f in self.components.values())
 
 
-def proper_decompose(X, f: Cochain) -> LevelDecomposition:
-    """Split a k-cochain into proper level components, top level first.
+def _split(X, f, levels):
+    """The :class:`LevelDecomposition` of f with the proper components
+    ``levels``, ``(i, values)`` pairs for i = k..0; the constant part is
+    what they leave over, so the components sum to ``f`` exactly."""
+    components = {}
+    residual = f.values.copy()
+    for i, vals in levels:
+        components[i] = Cochain(X, f.dim, vals)
+        residual -= vals
+    components[-1] = Cochain(X, f.dim, residual)
+    return LevelDecomposition(components, {i: norm_sq(X, g) for i, g in components.items()})
+
+
+def _cgls_levels(X, f):
+    """The proper components k..0 of a k-cochain f, k >= 0, from one CGLS
+    projection per range of the flag, or None when one misses its target.
+
+    ``r_j`` is what f leaves off ``R_j = range(multi_up(X, j, k-j))``: the
+    residual of :func:`_cgls` on that lift in ``sqrt(w)`` coordinates,
+    ``sqrt(w_k) / d[sub]`` over ``sub = _subfaces(X, k, j)``, each column
+    scaled to its norm ``d = sqrt(C(k+1, j+1) w_j)``.  ``(A^T r)_s / d_s``
+    is then the localized mean of ``r_j`` at the j-face s, the defect of
+    being (j+1)-level there.  Level k is ``r_(k-1)`` and level i < k is
+    ``r_(i-1) - r_i``, with ``r_(-1)`` f less its constant part.
+
+    Each projection may take ``n_j + 1`` iterations, the bound of CG in
+    exact arithmetic, and must bring every localized mean to ``CG_TARGET
+    eps max|f|``.  Expanding complexes take a few a level: 2-4 on complete
+    ones, 17 and about 70 on random_pure(30,2,900).  Under skewed weights
+    CG can need thousands (up to 3,648 on complete(8,3) at k = 2 and 3 with
+    facet weights spread over 20 decades), where the flag takes a few
+    milliseconds.  Rounding can also cost a few steps past the bound on
+    small complexes that expand poorly: about 5% of the projections on
+    random subsets of the facets of complete(n <= 7, d <= 3) with uniform
+    weights miss it.
+    """
+    k = f.dim
+    w = weight_vector(X, k)
+    sw = np.sqrt(w)
+    bar = CG_TARGET * np.finfo(float).eps * np.max(np.abs(f.values))
+    r = []  # r_0..r_(k-1)
+    for j in range(k):
+        sub = _subfaces(X, k, j)
+        d = np.sqrt(sub.shape[1] * weight_vector(X, j))
+        g, worst, _ = _cgls(sub, sw[:, None] / d[sub], d, sw, f.values, CG_TARGET, len(d) + 1)
+        if not worst <= bar:
+            return None
+        r.append(g)
+    r = [f.values - w @ f.values, *r]  # r_(j-1) is r[j]
+    return [(k, r[k]), *((i, r[i] - r[i + 1]) for i in range(k - 1, -1, -1))]
+
+
+def _flag_levels(X, f):
+    """The proper components k..0 of a k-cochain f, k >= 0, from the flag.
 
     Everything runs in the coordinates ``c = U^T r`` of range(A) for
     ``r = sqrt(w) f`` (:func:`_flag`), ``U^T`` one ``bincount`` and ``U``
@@ -508,34 +635,46 @@ def proper_decompose(X, f: Cochain) -> LevelDecomposition:
     k is ``r`` less ``U c``, taken twice; the second pass also refines c.
     Level k-1 is c projected off the stack of levels -1..k-2 twice, and
     level 0 <= i < k-1 is c projected on level i, all taken back to k-face
-    rows by one gather.  The constant part is what the levels 0..k leave
-    over, so the components sum to ``f`` exactly.
+    rows by one gather.
+    """
+    k = f.dim
+    P, W, Qc, starts = _flag(X, k)
+    sub, a = _top_lift(X, k)
+    s = np.sqrt(weight_vector(X, k))
+    x = s * f.values
+    c = _coords(sub, a, P, W, x)
+    top = x - _embed(sub, a, P, W, c)
+    dc = _coords(sub, a, P, W, top)
+    top -= _embed(sub, a, P, W, dc)
+    c += dc
+    y = c
+    for _ in range(2):
+        y = y - Qc @ (Qc.T @ y)
+    levels = [y]  # level k-1, then k-2..0
+    for i in range(k - 2, -1, -1):
+        B = Qc[:, starts[i + 1]:starts[i + 2]]
+        levels.append(B @ (B.T @ c))
+    parts = _embed(sub, a, P, W, np.stack(levels, axis=1)) / s[:, None]
+    return [(k, top / s), *zip(range(k - 1, -1, -1), parts.T)]
+
+
+def proper_decompose(X, f: Cochain) -> LevelDecomposition:
+    """Split a k-cochain into proper level components, top level first,
+    with the constant part at level -1.
+
+    The components come from one CGLS projection per range of the flag
+    (:func:`_cgls_levels`): no basis, no Gram and nothing factored.  Where a projection misses its target within its iterations,
+    as skewed weights can make it, the whole split comes from the flag's
+    bases instead (:func:`_flag_levels`), one ``eigh`` of the top Gram and
+    the lower levels' Grams, cached under ``("flag", k)``.  A cochain with
+    a non-finite value raises a ComplexError.
     """
     _same_space(X, f)
-    k = f.dim
-    components = {}
-    residual = f.values.copy()
-    if k >= 0:
-        P, W, Qc, starts = _flag(X, k)
-        sub, a = _top_lift(X, k)
-        s = np.sqrt(weight_vector(X, k))
-        x = s * f.values
-        c = _coords(sub, a, P, W, x)
-        top = x - _embed(sub, a, P, W, c)
-        dc = _coords(sub, a, P, W, top)
-        top -= _embed(sub, a, P, W, dc)
-        c += dc
-        y = c
-        for _ in range(2):
-            y = y - Qc @ (Qc.T @ y)
-        levels = [y]  # level k-1, then k-2..0
-        for i in range(k - 2, -1, -1):
-            B = Qc[:, starts[i + 1]:starts[i + 2]]
-            levels.append(B @ (B.T @ c))
-        parts = _embed(sub, a, P, W, np.stack(levels, axis=1)) / s[:, None]
-        for i, vals in [(k, top / s), *zip(range(k - 1, -1, -1), parts.T)]:
-            components[i] = Cochain(X, k, vals)
-            residual -= vals
-    components[-1] = Cochain(X, k, residual)
-    norms_sq = {i: norm_sq(X, g) for i, g in components.items()}
-    return LevelDecomposition(components, norms_sq)
+    if not np.all(np.isfinite(f.values)):
+        raise ComplexError("a cochain with a non-finite value cannot be decomposed")
+    levels = []
+    if f.dim >= 0:
+        levels = _cgls_levels(X, f)
+        if levels is None:
+            levels = _flag_levels(X, f)
+    return _split(X, f, levels)

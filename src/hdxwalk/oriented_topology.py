@@ -7,8 +7,8 @@ usual alternating-sign difference operator (with the scalar-to-constant
 convention at dimension -1, so the 0-dimensional coboundaries are exactly
 the constants), and the minimal cochain of a coset modulo coboundaries is
 the weighted-orthogonal projection off them, found by CGLS on the
-column-scaled weighted coboundary with the sparse products of the level
-flag's top lift (``level_decomp._gather`` and ``_scatter``).
+column-scaled weighted coboundary (``level_decomp._cgls``, the loop that
+``level_decomp.proper_decompose`` runs on the lifts of the level flag).
 
 Perfectly balanced sets of faces live at the end of the module: a set of
 k-faces whose weighted density looks the same from every i-face's link.
@@ -22,7 +22,7 @@ import numpy as np
 
 from .complex_core import ComplexError, _cached_op, _sub, canonical_face
 from .cochain_ops import Cochain, LinOp, multi_down, weight_vector
-from .level_decomp import _gather, _scatter
+from .level_decomp import CG_TARGET, _cgls
 
 __all__ = [
     "BalanceReport",
@@ -84,9 +84,6 @@ class OrientedCochain:
         return Cochain(self.complex, self.dim, self.values.copy())
 
 
-# the worst local-minimality residual minimal_representative stops at, in
-# units of eps max|f|
-CG_TARGET = 2.0
 # the worst residual, in units of eps max|f|, above which a projection that
 # stalled or ran out of iterations is refused: about 2.3e-13 max|f|, far
 # under the CLI's 1e-10 max|f| gate
@@ -123,25 +120,15 @@ def minimal_representative(X, f: OrientedCochain) -> OrientedCochain:
     a strictly convex problem, so the projection is the argmin).
 
     In ``sqrt(w)`` coordinates it is ``y - A x`` for ``y = sqrt(w) f`` and
-    x a least-squares solution of ``A x = y`` by CGLS (Hestenes and
-    Stiefel, 1952), with A the weighted coboundary ``sqrt(W_k)
+    x a least-squares solution of ``A x = y`` by the CGLS of
+    ``level_decomp._cgls``, with A the weighted coboundary ``sqrt(W_k)
     delta_(k-1)`` with each column divided by its norm ``d = sqrt((k+1)
-    w_(k-1))``.  A is one gather and ``A^T`` one ``bincount``: no matrix
-    with a row per face is built, nothing is factored or cached.
-
-    ``(A^T r)_s / d_s`` is the local-minimality residual at the (k-1)-face
-    s, and the aim is every residual at most ``CG_TARGET eps max|f|``,
-    rounding, not the CLI's gate.  A run of CG works on the n faces still
-    above that, so rounding at faces of large weight does not steer the
-    steps for faces of small weight.  It ends at the target or, once its
-    ``|A^T r|^2`` is down to their rounding, ``(eps max|f|)^2 sum d^2``,
-    after ``2 (n + 1)`` steps that do not lower their worst residual: in
-    exact arithmetic CG needs at most n steps, and under skewed weights its
-    residuals rise for many steps before they fall.  The next run restarts
-    from the true residual of the best iterate, until a restart does not
-    halve the worst residual, or ``CG_CAP (n_(k-1) + 1)`` iterations are
-    spent.  If the worst residual is then above ``CG_BOUND eps max|f|`` a
-    ComplexError is raised: an unconverged projection is never reported.
+    w_(k-1))``.  ``(A^T r)_s / d_s`` is the local-minimality residual at
+    the (k-1)-face s, and the aim is every residual at most ``CG_TARGET eps
+    max|f|``, rounding, not the CLI's gate, in at most ``CG_CAP (n_(k-1) +
+    1)`` iterations.  If the worst residual is then above ``CG_BOUND eps
+    max|f|``, or not a number, a ComplexError is raised: an unconverged
+    projection is never reported.  So is a cochain with a non-finite value.
     """
     k = f.dim
     if k < 0:
@@ -150,49 +137,14 @@ def minimal_representative(X, f: OrientedCochain) -> OrientedCochain:
     sw = np.sqrt(weight_vector(X, k))
     d = np.sqrt((k + 1) * weight_vector(X, k - 1))
     a = sw[:, None] * _signs(k) / d[sub]
-    # f scaled by a power of two to max|f| in [0.5, 1), exactly, so no
-    # inner product overflows or underflows
-    e = np.frexp(np.max(np.abs(f.values)))[1]
-    y = sw * np.ldexp(f.values, -e)
-    eps, top = np.finfo(float).eps, np.ldexp(np.max(np.abs(f.values)), -e)
-    target, cap = CG_TARGET * eps * top, CG_CAP * (m + 1)
-    x, r, kept, best, steps = np.zeros(m), y, y, np.inf, 0
-    while True:
-        g = _scatter(sub, a, r, m)
-        res = np.abs(g) / d
-        worst = res.max()
-        if worst < best:
-            kept = r
-        if worst <= target or not worst < best / 2 or steps >= cap:
-            break
-        on = res > target
-        g[~on] = 0.0
-        floor = (eps * top) ** 2 * (d[on] @ d[on])
-        p, gamma, best, low, x_low = g, g @ g, worst, worst, x
-        idle, patience, settled = 0, 2 * (np.count_nonzero(on) + 1), False
-        while steps < cap:
-            steps, idle = steps + 1, idle + 1
-            q = _gather(sub, a, p)
-            alpha = gamma / (q @ q)
-            x, r = x + alpha * p, r - alpha * q
-            g = _scatter(sub, a, r, m)
-            g[~on] = 0.0
-            now = np.max(np.abs(g) / d)
-            if now < low:
-                low, x_low, idle = now, x, 0
-            gamma, previous = g @ g, gamma
-            settled = settled or gamma <= floor
-            if low <= target or (settled and idle >= patience):
-                break
-            p = g + (gamma / previous) * p
-        x = x_low
-        r = y - _gather(sub, a, x)
-    if min(worst, best) > CG_BOUND * eps * top:
+    values, worst, steps = _cgls(sub, a, d, sw, f.values, CG_TARGET, CG_CAP * (m + 1))
+    top = np.max(np.abs(f.values))
+    if not worst <= CG_BOUND * np.finfo(float).eps * top:
         raise ComplexError(
             f"the minimal representative of a {k}-cochain did not converge: "
-            f"local residual {min(worst, best) / top:.2g} max|f| after {steps} CG iterations"
+            f"local residual {worst / top:.2g} max|f| after {steps} CG iterations"
         )
-    return OrientedCochain(X, k, np.ldexp(kept / sw, e))
+    return OrientedCochain(X, k, values)
 
 
 def local_minimality_residuals(X, f: OrientedCochain) -> dict:

@@ -477,13 +477,107 @@ def test_proper_decompose_masses_beyond_12_decades(decades):
 
 
 def test_top_decompose_builds_no_k_face_lift_or_stack():
-    # a top cochain is decomposed in (k-1)-face coordinates: no lift to the
-    # top faces and no level table enters the memo
+    # a top cochain is decomposed by CGLS on the lifts' subface arrays: no
+    # dense lift to the top faces, no level table and no flag enters the memo
     X = generate("complete", n=8, d=3)
     proper_decompose(X, _random_cochain(X, 3, np.random.default_rng(17)))
     assert not [key for key in X._cache if key[0] == "multi_up" and key[1] + key[2] == 3]
     assert ("level_bases", 3) not in X._cache
-    assert ("flag", 3) in X._cache
+    assert ("flag", 3) not in X._cache
+
+
+def _refuse_flag(monkeypatch):
+    def refuse(X, k):
+        raise AssertionError("flag built")
+
+    monkeypatch.setattr(level_decomp, "_flag", refuse)
+
+
+def test_top_decompose_at_scale_takes_no_flag(monkeypatch):
+    # complete(30,3)'s top cochain took 10 s and 680 MB on the flag, most of
+    # it one eigh of the 4,060 x 4,060 top Gram; CGLS takes a few steps a
+    # level and must not fall back to it
+    _refuse_flag(monkeypatch)
+    X = generate("complete", n=30, d=3)
+    f = _random_cochain(X, 3, np.random.default_rng(30))
+    d = proper_decompose(X, f)
+    nsq = norm_sq(X, f)
+    w = weight_vector(X, 3)
+    for i in range(1, 4):
+        # level i is i-level: its localized mean vanishes at every (i-1)-face
+    # (measured: at most 4.6e-17 max|f|, and the inner products 4.2e-18 |f|^2)
+        sub = level_decomp._subfaces(X, 3, i - 1)
+        wg = np.repeat(w * d.components[i].values, sub.shape[1])
+        means = np.bincount(sub.ravel(), wg) / (sub.shape[1] * weight_vector(X, i - 1))
+        assert np.max(np.abs(means)) <= 1e-14 * np.max(np.abs(f.values))
+    for a in range(-1, 4):
+        for b in range(a + 1, 4):
+            assert abs(inner_product(X, d.components[a], d.components[b])) <= 1e-14 * nsq
+    assert np.max(np.abs(d.reconstruction() - f.values)) <= LEVEL_TOL
+
+
+def test_skewed_top_decompose_falls_back_to_the_flag(monkeypatch):
+    # at 16 decades of weight spread a projection misses its target within
+    # n_j + 1 iterations, and the whole split comes from the flag
+    X = _skewed_complete(8, 3, 16, 0)
+    f = _random_cochain(X, 3, np.random.default_rng(16))
+    assert level_decomp._cgls_levels(X, f) is None
+    calls = []
+    flag = level_decomp._flag
+    monkeypatch.setattr(level_decomp, "_flag", lambda X, k: calls.append(k) or flag(X, k))
+    got = proper_decompose(X, f)
+    assert calls == [3]
+    want = level_decomp._split(X, f, level_decomp._flag_levels(X, f))
+    for i in range(-1, 4):
+        assert np.array_equal(got.components[i].values, want.components[i].values)
+
+
+def _assert_matches_flag_route(X, rng):
+    """proper_decompose against the flag route called directly, at every
+    dimension of ``X``: masses within ``2e-15 max(1, |f|^2)`` and
+    components within ``LEVEL_TOL`` in the W-norm, whichever route
+    proper_decompose takes."""
+    for k in range(0, X.top_dim + 1):
+        f = _random_cochain(X, k, rng)
+        got = proper_decompose(X, f)
+        want = level_decomp._split(X, f, level_decomp._flag_levels(X, f))
+        nsq = norm_sq(X, f)
+        assert sorted(got.components) == list(range(-1, k + 1))
+        for i in range(-1, k + 1):
+            assert abs(got.norms_sq[i] - want.norms_sq[i]) <= 2e-15 * max(1.0, nsq)
+            gap = Cochain(X, k, got.components[i].values - want.components[i].values)
+            assert np.sqrt(norm_sq(X, gap)) <= LEVEL_TOL * max(1.0, np.sqrt(nsq))
+
+
+def test_proper_decompose_matches_flag_route(all_fixtures, skewed83):
+    rng = np.random.default_rng(19)
+    for _, X in all_fixtures + [("skewed83", skewed83)]:
+        _assert_matches_flag_route(X, rng)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(X=oracle.weighted_pure_complexes(), seed=st.integers(0, 2**32 - 1))
+def test_proper_decompose_matches_flag_route_property(X, seed):
+    # over 1,739 cochains on such complexes the CGLS route's masses were at
+    # most 1.1e-15 |f|^2 off the flag route's and off the complete route's;
+    # 432 of them fell back to the flag
+    _assert_matches_flag_route(X, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_proper_decompose_refuses_non_finite_values(bad):
+    # a NaN once went through every projection and came out as NaN masses
+    X = generate("complete", n=5, d=2)
+    for k in range(-1, 3):
+        f = _random_cochain(X, k, np.random.default_rng(5))
+        f.values[-1] = bad
+        with pytest.raises(ComplexError, match="non-finite"):
+            proper_decompose(X, f)
+    # and the CGLS projection refuses one itself
+    f = _random_cochain(X, 2, np.random.default_rng(5))
+    f.values[0] = -bad
+    with pytest.raises(ComplexError, match="non-finite"):
+        level_decomp._cgls_levels(X, f)
 
 
 def test_level_dimensions_of_wide_lifts():

@@ -172,6 +172,17 @@ def test_minimal_representative_at_extreme_scales(c42):
         assert np.array_equal(scaled, np.ldexp(base, e))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_minimal_representative_refuses_non_finite_values(bad):
+    # a NaN once passed the convergence check, min(nan, inf) > bound being
+    # false, and came back as a NaN cochain
+    X = generate("complete", n=5, d=2)
+    f = np.random.default_rng(5).standard_normal(X.n_faces(1))
+    f[3] = bad
+    with pytest.raises(ComplexError, match="non-finite"):
+        minimal_representative(X, OrientedCochain(X, 1, f))
+
+
 def _refused(X, f, tmp_path, capsys):
     # the CLI exits 2 with the projection's error, never 1 with a verdict on
     # an unconverged representative
