@@ -486,18 +486,14 @@ def test_top_decompose_builds_no_k_face_lift_or_stack():
     assert ("flag", 3) not in X._cache
 
 
-def _refuse_flag(monkeypatch):
-    def refuse(X, k):
-        raise AssertionError("flag built")
-
-    monkeypatch.setattr(level_decomp, "_flag", refuse)
-
-
 def test_top_decompose_at_scale_takes_no_flag(monkeypatch):
     # complete(30,3)'s top cochain took 10 s and 680 MB on the flag, most of
     # it one eigh of the 4,060 x 4,060 top Gram; CGLS takes a few steps a
     # level and must not fall back to it
-    _refuse_flag(monkeypatch)
+    def refuse(X, k):
+        raise AssertionError("flag built")
+
+    monkeypatch.setattr(level_decomp, "_flag", refuse)
     X = generate("complete", n=30, d=3)
     f = _random_cochain(X, 3, np.random.default_rng(30))
     d = proper_decompose(X, f)
@@ -505,7 +501,7 @@ def test_top_decompose_at_scale_takes_no_flag(monkeypatch):
     w = weight_vector(X, 3)
     for i in range(1, 4):
         # level i is i-level: its localized mean vanishes at every (i-1)-face
-    # (measured: at most 4.6e-17 max|f|, and the inner products 4.2e-18 |f|^2)
+        # (measured: at most 4.6e-17 max|f|, the inner products 4.2e-18 |f|^2)
         sub = level_decomp._subfaces(X, 3, i - 1)
         wg = np.repeat(w * d.components[i].values, sub.shape[1])
         means = np.bincount(sub.ravel(), wg) / (sub.shape[1] * weight_vector(X, i - 1))
