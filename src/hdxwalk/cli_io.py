@@ -9,25 +9,27 @@ weights must also be normal positive floats, at least
 ``sys.float_info.min``.
 Both formats round-trip bit-faithfully through ``repr`` floats.
 
-A file is read on one route: the text is split into its fields once,
-vertex ids go through ``int`` and weights or values through ``float`` (so
-they accept what ``int`` and ``float`` accept), and each rule above is
-written once, as a mask over the data lines that share the first one's
-field count.  The ids are converted by one ``np.array(tokens, np.int64)``,
-in which numpy calls ``int`` on each token; only an id past 64 bits sends
-them through a list of ``int``, and only a token ``int`` rejects through
-one ``int`` at a time.  A ParseError names the first line a rule rejects,
+A file whose header is its first line and whose first data line follows
+it is read by one ``np.loadtxt`` call (:func:`_read`): numpy's C reader
+splits the lines, checks every field count against the first line's, and
+converts d+1 int64 ids and a float64 weight or value a line.  Each rule
+above is a mask over those arrays; a complex's facets go to
+``complex_core._closure`` as one int array, and a cochain's faces are
+found by the complex's integer face keys.  Where the reader refuses the
+text, a mask fires or a line ends at a break other than ``\n``, the token
+route reads the file instead: its fields are split once, ids go through
+``int`` and weights or values through ``float`` (the reader accepts a
+subset of what they accept, with the same values), and each rule is a mask
+over the data lines.  Its ParseError names the first line a rule rejects,
 with the first rule it breaks, or else the first line with another field
-count.
-A complex's facets go to ``complex_core._closure`` as one int array; a
-cochain's faces are found by the complex's integer face keys.  Scans that
-only locate a fault run once a check has failed.
+count.  Scans that only locate a fault run once a check has failed.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+import warnings
 from itertools import combinations, product
 
 import numpy as np
@@ -35,8 +37,10 @@ import numpy as np
 from .complex_core import (
     ComplexError,
     _closure,
+    _first_broken,
     _id_array,
     _positions,
+    _vertex_rules,
     build_complex,
 )
 from .cochain_ops import Cochain, weight_vector
@@ -60,14 +64,39 @@ RANDOM_PURE_RETRIES = 500  # facet sets random_pure draws before it gives up
 
 # a comment runs to the end of its line, as ``str.splitlines`` ends lines
 _COMMENT = re.compile(r"#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
+# the line breaks of ``str.splitlines`` at which numpy's reader goes on
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _read(text):
+    """``(d, rows, values)``: the header's d and, read by one call of numpy's
+    C reader, each data line's d+1 int64 ids, sorted, and float64 last field
+    (None if the first data line has d+1 fields).  None unless the header and
+    the first data line open the file, or if the reader refuses a token or a
+    field count or warns, or a vertex rule rejects a face."""
+    lines = text.lstrip().split("\n")
+    header, first = (line.split("#", 1)[0].split() for line in (lines[:2] + [""])[:2])
+    try:
+        d = int(header[1]) if len(header) == 2 and header[0] == "dim" else -2
+        if any(c in text for c in _OTHER_BREAKS) or not first or len(first) - d not in (1, 2):
+            return None
+        weighted = len(first) == d + 2
+        dtype = [("ids", np.int64, (d + 1,)), ("value", float)][: 1 + weighted]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines[1:], dtype, comments="#", ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    rows = np.sort(table["ids"], axis=1, kind="stable")
+    values = table["value"] if weighted else None
+    return (d, rows, values) if _clean(_vertex_rules(rows)[1]) else None
 
 
 def _fields(text, what):
     """A file's header dimension, the number and field count of each data
     line below it, and all their fields in one list; comments go by one
     substitution.  Raises the ParseError of a missing or malformed header."""
-    if "#" in text:
-        text = _COMMENT.sub("", text)
+    text = _COMMENT.sub("", text)
     lines = text.splitlines()
     counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
     data = np.flatnonzero(counts)
@@ -81,7 +110,6 @@ def _fields(text, what):
         dim = int(header[1])
     except ValueError:
         raise ParseError(f"line {head + 1}: bad dimension {header[1]!r}") from None
-    del lines  # the fields take its memory
     tokens = text.split()
     del tokens[:2]
     return dim, data + 1, counts[data], tokens
@@ -95,17 +123,10 @@ def _table(counts, widths):
 
 
 def _convert(kind, tokens, n):
-    """``kind`` (``int`` or ``float``) of every token, and the mask of the
-    ``n`` lines the tokens fill that hold one it rejects, which reads as
-    ``kind()``.  Ints come as one int64 array, for which numpy calls ``int``
-    on each token; past 64 bits as a list (see ``complex_core._id_array``).
-    Token by token only after a ValueError."""
+    """``kind`` (``int`` or ``float``) of every token, as a list, and the
+    mask of the ``n`` lines the tokens fill that hold one it rejects, which
+    reads as ``kind()``; token by token only after a ValueError."""
     try:
-        if kind is int:
-            try:
-                return np.array(tokens, np.int64), np.zeros(n, bool)
-            except OverflowError:  # an id needs more than 64 bits
-                pass
         return list(map(kind, tokens)), np.zeros(n, bool)
     except ValueError:
         values, rejected = [], []
@@ -132,16 +153,6 @@ def _weight_rules(tokens):
     ]
 
 
-def _vertex_rules(faces):
-    """A line's face as a tuple, and the rules on its ascending vertices in
-    ``faces``, as ``canonical_face`` checks them: none repeated or negative."""
-    face = lambda i: tuple(faces[i].tolist())  # noqa: E731
-    return face, [
-        (faces[:, 1:] == faces[:, :-1], lambda i: f"face {face(i)} has repeated vertices"),
-        (faces[:, :1] < 0, lambda i: f"face {face(i)} has a negative vertex id"),
-    ]
-
-
 def _first_repeat(keys):
     """The mask of the first of ``keys`` that repeats one, by a set scan."""
     seen = set()
@@ -159,21 +170,21 @@ def _clean(rules):
 
 def _first_fault(lines, n, rules, said=None):
     """The ParseError naming the first of the ``n`` table lines a rule
-    rejects, with the first rule that does, else the next line with
-    ``said``; None if neither exists.  A rule is ``(mask, say)``: ``mask``
-    marks lines (any True entry), or is a scan giving the mask of as many
-    first lines as it is told, and ``say(i)`` is the message."""
-    row, message = n, (said if n < len(lines) else None)
-    for mask, say in rules:
-        marked = np.nonzero((mask(row) if callable(mask) else mask)[:row])[0]
-        if len(marked):
-            row = int(marked[0])
-            message = say(row)
+    rejects, with the first rule that does (``complex_core._first_broken``),
+    else the next line with ``said``; None if neither exists."""
+    row, message = _first_broken(rules, n, said if n < len(lines) else None)
     return None if message is None else ParseError(f"line {lines[row]}: {message}")
 
 
 def parse_complex(text):
     """Build a complex from its facet file; see the module docstring."""
+    d, rows, w = _read(text) or (-1, None, None)
+    if d >= 0 and (w is None or ((w >= sys.float_info.min) & (w < np.inf)).all()):
+        try:
+            return _closure(rows, w)
+        except ComplexError:  # a duplicate facet, or a face's weight not a normal float
+            pass
+    # the token route, which names the fault
     d, lines, counts, tokens = _fields(text, "complex")
     if d < 0:
         raise ParseError("dimension must be non-negative")
@@ -207,11 +218,8 @@ def parse_complex(text):
         (w < sys.float_info.min, lambda i: f"subnormal weight {weights[i]!r}"),
     ]
     if changed is None and _clean(rules):
-        # the closure reuses the tokens' memory: held through it, they
-        # nearly doubled the page faults of a parse
-        del tokens, ids, rules
         try:
-            return _closure(rows, weights if weighted else None)
+            return _closure(rows, w if weighted else None)
         except ComplexError as exc:  # a duplicate facet, or a face's weight not a normal float
             raise _first_fault(lines, n, [duplicate]) or ParseError(str(exc)) from None
     raise _first_fault(lines, n, rules, changed)
@@ -241,8 +249,26 @@ def _missing(X, faces):
     return np.concatenate([_missing(X, faces[:half]), _missing(X, faces[half:])])
 
 
+def _cochain(X, k, faces, values):
+    """The k-cochain of ``values`` on the rows of vertex ids ``faces``, and
+    0 elsewhere; None when a face is not in ``X`` or is listed twice."""
+    try:
+        pos = _positions(X, faces)
+    except KeyError:
+        return None
+    vals = np.zeros(X.n_faces(k))
+    vals[pos] = values
+    return Cochain(X, k, vals) if np.bincount(pos, minlength=1).max() < 2 else None
+
+
 def parse_cochain(text, X):
     """Read a cochain over ``X`` (faces not listed get value 0)."""
+    k, faces, values = _read(text) or (-2, None, None)
+    if values is not None and k <= X.top_dim and np.isfinite(values).all():
+        f = _cochain(X, k, faces, values)
+        if f is not None:
+            return f
+    # the token route, which names the fault
     k, lines, counts, tokens = _fields(text, "cochain")
     if not -1 <= k <= X.top_dim:
         raise ParseError(f"cochain dimension {k} out of range for the complex")
@@ -263,15 +289,9 @@ def parse_cochain(text, X):
         (lambda stop: _missing(X, faces[:stop]), lambda i: f"face {face(i)} is not in the complex"),
         (repeat, lambda i: f"duplicate face {face(i)}"),
     ]
-    if n == len(lines) and _clean(rules):
-        try:
-            pos = _positions(X, faces)
-            if np.bincount(pos, minlength=1).max() < 2:
-                vals = np.zeros(X.n_faces(k))
-                vals[pos] = values
-                return Cochain(X, k, vals)
-        except KeyError:  # a face not in X, which the rules name
-            pass
+    f = _cochain(X, k, faces, values) if n == len(lines) and _clean(rules) else None
+    if f is not None:
+        return f
     raise _first_fault(lines, n, rules, f"expected {k + 1} vertices and a value")
 
 

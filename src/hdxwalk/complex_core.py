@@ -20,8 +20,8 @@ Faces are found by integer keys (:func:`_keys`), and downward incidence is
 one int array per pair of dimensions (:func:`_subfaces`), from which every
 operator and the link spectra are scattered; :func:`_closure` builds the
 keys and the one-step arrays (:func:`_sub`) with the complex, from one
-sort per dimension whose inverse gives every facet subset its face
-(:func:`_distinct`), so building searches no table.
+sort (or count) per dimension whose inverse gives every facet subset its
+face (:func:`_distinct`), so building searches no table.
 Links are read off the rank rows: the k-faces over a face sigma are the
 rows of ``_rows(X, k)`` that hold every rank of sigma, found by one mask
 (:func:`_over`).  Removing sigma from the sets that contain it keeps
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 WEIGHT_TOL = 1e-12
+COUNT_SPAN = 4  # _distinct counts keys below this many times their number
 
 
 class ComplexError(ValueError):
@@ -216,34 +217,50 @@ def build_complex(facets, facet_weights=None):
     if not facets:
         raise ComplexError("facet list is empty")
     widths = set(map(len, facets))
-    rows = None
-    if len(widths) == 1:
-        ids = list(map(int, chain.from_iterable(facets)))
-        rows = _canonical_rows(ids, len(facets), widths.pop())
-    weights_ok = facet_weights is None
-    if not weights_ok and len(facet_weights) == len(facets):
-        w = np.fromiter(map(float, facet_weights), float, len(facets))
-        weights_ok = bool(((w > 0) & (w < math.inf)).all())
-    if rows is None or not weights_ok:
-        _check_facets(facets, facet_weights)
-        raise AssertionError("the facet loop accepted what the array checks rejected")
+    if len(widths) > 1:
+        for face in facets:  # a face a vertex rule rejects is named first
+            canonical_face(face)
+        raise ComplexError("facets have mixed dimensions")
+    ids = list(map(int, chain.from_iterable(facets)))
+    rows = np.sort(_id_array(ids, len(facets), widths.pop()), axis=1, kind="stable")
+    message = _first_broken(_vertex_rules(rows)[1], len(rows))[1]
+    if message is None and facet_weights is not None:
+        if len(facet_weights) != len(facets):
+            message = "facet_weights length does not match facets"
+        else:
+            facet_weights = np.fromiter(map(float, facet_weights), float, len(facets))
+            if not ((facet_weights > 0) & (facet_weights < math.inf)).all():
+                message = "facet weights must be finite and positive"
+        if message and len(set(map(tuple, rows.tolist()))) < len(rows):
+            message = "duplicate facet"
+    if message:
+        raise ComplexError(message)
     return _closure(rows, facet_weights)
 
 
-def _check_facets(facets, facet_weights):
-    """:func:`build_complex`'s checks one facet at a time, run only after the
-    array checks found a fault: raises ComplexError naming the first one."""
-    canon = [canonical_face(f) for f in facets]
-    d = len(canon[0]) - 1
-    if any(len(f) != d + 1 for f in canon):
-        raise ComplexError("facets have mixed dimensions")
-    if len(set(canon)) != len(canon):
-        raise ComplexError("duplicate facet")
-    if facet_weights is not None:
-        if len(facet_weights) != len(canon):
-            raise ComplexError("facet_weights length does not match facets")
-        if not all(0 < w < math.inf for w in facet_weights):
-            raise ComplexError("facet weights must be finite and positive")
+def _vertex_rules(rows):
+    """A face of ``rows``, ascending rows of vertex ids, as a tuple, and the
+    rules on them as :func:`canonical_face` checks them: no vertex repeated,
+    none negative.  A rule is ``(mask, say)`` (see :func:`_first_broken`)."""
+    face = lambda i: tuple(rows[i].tolist())  # noqa: E731
+    return face, [
+        (rows[:, 1:] == rows[:, :-1], lambda i: f"face {face(i)} has repeated vertices"),
+        (rows[:, :1] < 0, lambda i: f"face {face(i)} has a negative vertex id"),
+    ]
+
+
+def _first_broken(rules, row, message=None):
+    """The first of ``row`` rows that a rule rejects and the message of the
+    first rule that does, else ``(row, message)``.  A rule is ``(mask,
+    say)``: ``mask`` marks rows (any True entry), or is a scan giving the
+    mask of as many first rows as it is told, and ``say(i)`` is the
+    message."""
+    for mask, say in rules:
+        marked = np.nonzero((mask(row) if callable(mask) else mask)[:row])[0]
+        if len(marked):
+            row = int(marked[0])
+            message = say(row)
+    return row, message
 
 
 def _id_array(ids, n, width):
@@ -256,24 +273,23 @@ def _id_array(ids, n, width):
     return array.reshape(n, width)
 
 
-def _canonical_rows(ids, n, width):
-    """``n`` faces of ``width`` vertex ids each (see :func:`_id_array`) as
-    an (n, width) array with every row ascending, or None when a face
-    repeats a vertex or has a negative one."""
-    rows = np.sort(_id_array(ids, n, width), axis=1, kind="stable")
-    if width and ((rows[:, 0] < 0).any() or (rows[:, 1:] == rows[:, :-1]).any()):
-        return None
-    return rows
-
-
-def _distinct(values):
+def _distinct(values, bound=None):
     """The distinct entries of the 1-D array ``values`` in ascending order,
     the position in ``values`` of one occurrence of each, and the inverse:
     the position of each entry of ``values`` among the distinct ones.  One
     sort of any kind gives all three, ``inverse[order] = cumsum(first) - 1``,
     since tied entries are equal whichever of them comes first.  Passed a
     temporary, it lets ``values`` go once sorted, so it holds at most three
-    arrays of that length at once."""
+    arrays of that length at once.  Entries known to lie in 0..bound-1, for
+    ``bound`` at most COUNT_SPAN times their number, are counted instead:
+    a mark per value below ``bound``, ranked by the marks' cumsum."""
+    if bound is not None and bound <= COUNT_SPAN * len(values):
+        mark = np.zeros(bound, bool)
+        mark[values] = True
+        distinct, inverse = np.flatnonzero(mark), np.cumsum(mark, dtype=np.intp)[values] - 1
+        rep = np.empty(len(distinct), np.intp)
+        rep[inverse] = np.arange(len(values))
+        return distinct, rep, inverse
     order = values.argsort()
     ordered = values[order]
     del values
@@ -290,17 +306,19 @@ def _distinct(values):
 
 def _closure(facets, facet_weights):
     """The complex of the (m, d+1) array ``facets``, each row ascending and
-    non-negative, with ``facet_weights`` None or m finite positive weights;
-    :func:`build_complex` and ``parse_complex`` check both first.  Raises
-    ComplexError on a duplicate facet or a weight that is not a normal float.
+    non-negative, with ``facet_weights`` None or a float64 array of m finite
+    positive weights; :func:`build_complex` and ``parse_complex`` check both
+    first.  Raises ComplexError on a duplicate facet or a weight that is not
+    a normal float.
 
     One sort of the ids ranks the vertices: the ranks are its inverse
     (:func:`_distinct`).  Level by level every facet's k-subsets,
     facet-major, are keyed by (position of the subset minus its last vertex
     among the (k-1)-faces) * n_0 + (rank of its last vertex).  Keys ascend
     with the faces' lexicographic order and stay below n_(k-1) * n_0, so
-    one sort of the keys gives the k-faces in canonical order, its distinct
-    keys, and each subset's face, its inverse: no level searches.  A key
+    one sort of the keys (a count, where that range is small) gives the
+    k-faces in canonical order, its distinct keys, and each subset's face,
+    its inverse: no level searches.  A key
     names one face, so the rank row and the subface row read off any one
     subset with that key are the face's.  The facet weights are
     normalized by their ``math.fsum``, and the weights of a level are one
@@ -314,13 +332,12 @@ def _closure(facets, facet_weights):
     if facet_weights is None:
         top = np.full(m, 1.0 / m)
     else:
-        top = np.fromiter(map(float, facet_weights), float, m)
         try:
             # exactly rounded: the same on every interpreter and in any order
-            total = math.fsum(facet_weights)
+            total = math.fsum(facet_weights.tolist())
         except OverflowError:  # the weights sum past the largest float
             total = math.inf
-        top /= total
+        top = facet_weights / total
     ids, _, ranks = _distinct(facets.ravel())
     ranks = ranks.reshape(m, width)
     n0 = len(ids)
@@ -338,7 +355,7 @@ def _closure(facets, facet_weights):
         drop = np.array([[index[c[:i] + c[i + 1 :]] for i in range(k + 1)] for c in combos])
         # the subset keys, a temporary that _distinct lets go once sorted
         keys, rep, subset_face = _distinct(
-            (inv[:, drop[:, k]] * n0 + ranks[:, cols[:, k]]).ravel()
+            (inv[:, drop[:, k]] * n0 + ranks[:, cols[:, k]]).ravel(), len(rows[k - 1]) * n0
         )
         f, c = np.divmod(rep, len(combos))
         rows[k] = ranks[f[:, None], cols[c]]

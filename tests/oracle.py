@@ -148,6 +148,28 @@ def closure_scan(facets, facet_weights=None):
     return complex_from_faces(d, faces_by_dim, weight)
 
 
+def facet_checks(facets, facet_weights=None):
+    """``build_complex``'s input checks one facet at a time: the
+    ComplexError message of the first fault, or None.  A facet that
+    ``canonical_face`` rejects comes first, then mixed dimensions, a
+    duplicate facet, the weights' count and their values; the second route
+    for the vertex-rule masks of ``build_complex``."""
+    try:
+        canon = [canonical_face(f) for f in facets]
+    except ComplexError as exc:
+        return str(exc)
+    if any(len(f) != len(canon[0]) for f in canon):
+        return "facets have mixed dimensions"
+    if len(set(canon)) != len(canon):
+        return "duplicate facet"
+    if facet_weights is not None:
+        if len(facet_weights) != len(canon):
+            return "facet_weights length does not match facets"
+        if not all(0 < w < math.inf for w in facet_weights):
+            return "facet weights must be finite and positive"
+    return None
+
+
 def sub_scan(X, k):
     """The subface index array of dimension ``k`` by dict lookups in
     ``X.face_index``: the second route for ``complex_core._sub``."""
@@ -559,6 +581,21 @@ def complement_complete(Q):
     ``n x n`` Householder factor of Q, the second route for
     ``level_decomp._complement``."""
     return np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]
+
+
+def presign_pivots(A):
+    """The pivots of the LU with no pivoting of ``A - diag(s)``, each read
+    before ``s_j = -sign`` of it is subtracted, one elimination step at a
+    time: the second route for the reflector signs that
+    ``level_decomp._sign_lu_inverse`` picks.  Where one is of rounding size
+    its sign, and so the reflector, is not determined by A."""
+    G = np.array(A, dtype=float)
+    pivots = np.empty(len(G))
+    for j in range(len(G)):
+        pivots[j] = G[j, j]
+        G[j, j] += math.copysign(1.0, pivots[j])
+        G[j + 1 :, j:] -= np.outer(G[j + 1 :, j] / G[j, j], G[j, j:])
+    return pivots
 
 
 def _project_off(Q, B):

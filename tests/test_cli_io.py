@@ -30,7 +30,7 @@ from hdxwalk import (
     write_complex,
 )
 from hdxwalk.complex_core import _sub
-from hdxwalk import level_decomp
+from hdxwalk import cli_io, level_decomp
 from hdxwalk.level_decomp import proper_level_basis
 
 
@@ -315,6 +315,110 @@ def test_parse_matches_the_line_loops():
     ]
     assert [rule for rule in rules if not any(rule in m for m in messages)] == []
     assert read > 1000
+
+
+# the line breaks of str.splitlines other than "\n", then characters that
+# are whitespace to str.split but break no line, and NUL, which is neither
+_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_SPACES = ["\t", "\xa0", "\x1f", "\x00"]
+_ODD_IDS = [
+    "1_0", "\u0663", "\u0661\u0660", "3.0", "1e3",
+    str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1), str(2**64), str(2**70),
+]
+_ODD_LINES = ["", "   ", "\t", " \xa0\x1f ", "# c", "  # 0 1 2 0.5", "#"]
+
+
+def _edge_cases(text, rng):
+    """Seeded variants of the written file ``text``: every line break and
+    space character as every line's end, in place of a separator and put in
+    anywhere; every odd id in place of a vertex id; every odd line before
+    the header, after it and anywhere."""
+    lines = text.split("\n")
+    seps = [i for i, c in enumerate(text) if c in " \n"]
+    ids = [(i, j) for i in range(1, len(lines) - 1) for j in range(len(lines[i].split()) - 1)]
+    for c in _BREAKS + _SPACES:
+        yield text.replace("\n", c)
+        yield text.replace("\n", c + "\n")
+        for i in rng.sample(seps, 3):
+            yield text[:i] + c + text[i + 1 :]
+        for i in rng.sample(range(len(text) + 1), 3):
+            yield text[:i] + c + text[i:]
+    for odd in _ODD_IDS:
+        for i, j in rng.sample(ids, min(3, len(ids))):
+            fields = lines[i].split()
+            fields[j] = odd
+            yield "\n".join(lines[:i] + [" ".join(fields)] + lines[i + 1 :])
+    for odd in _ODD_LINES:
+        for i in [0, 1, *rng.sample(range(len(lines)), 2)]:
+            yield "\n".join(lines[:i] + [odd] + lines[i:])
+
+
+def test_reader_edge_cases_match_the_line_loops(monkeypatch):
+    # numpy's reader and the token route read each edge case as the
+    # oracle's line loops do: the same complex or cochain, bitwise, or the
+    # same ParseError message; complexes with ids at the int64 bound and
+    # past it reach both routes
+    rng = np.random.default_rng(29)
+    top = 2**63 - 1
+    complexes = [
+        build_complex(generate("complete", n=5, d=2).facets, list(10.0 ** rng.uniform(-3, 3, 10))),
+        generate("partite", parts=[2, 2, 2]),
+        build_complex([(top - 4, top - 1, top), (top - 3, top - 1, top), (top - 4, top - 3, top)]),
+        build_complex([(0, top, top + 1), (top, top + 1, top + 5), (1, top, top + 5)]),
+    ]
+    files = [(parse_complex, write_complex(X), ()) for X in complexes]
+    files += [(parse_complex, f"dim 2\n{' '.join(map(str, F))}\n", ()) for F in complexes[2].facets]
+    for X in complexes:
+        for k in range(-1, X.top_dim + 1):
+            f = Cochain(X, k, rng.standard_normal(X.n_faces(k)))
+            files.append((parse_cochain, write_cochain(X, f), (X,)))
+    token_route = []
+    fields = cli_io._fields
+    monkeypatch.setattr(cli_io, "_fields", lambda *a: token_route.append(a) or fields(*a))
+    draw = random.Random(29)
+    reads = {True: 0, False: 0}  # by the token route or not
+    for parse, text, args in files:
+        for variant in _edge_cases(text, draw):
+            if parse is parse_complex:
+                expected = _complex_outcome(variant)
+            else:
+                expected = _cochain_outcome(variant, *args)
+            token_route.clear()
+            assert _outcome(parse, variant, *args) == expected, repr(variant)
+            if not isinstance(expected, str):
+                reads[bool(token_route)] += 1
+    assert reads[False] > 500 and reads[True] > 500
+
+
+def _relabeled(X, rng):
+    """``X`` with its vertex ids drawn, as the benchmark draws them."""
+    n = X.n_faces(0)
+    ids = dict(zip(range(n), sorted(rng.choice(50 * n, size=n, replace=False).tolist())))
+    return build_complex([tuple(ids[v] for v in F) for F in X.facets])
+
+
+def test_written_benchmark_files_take_the_reader(monkeypatch):
+    # a written file of every benchmark family is read by numpy's reader
+    # alone: the token route is never reached
+    rng = np.random.default_rng(41)
+    families = [
+        generate("complete", n=14, d=4),
+        generate("complete", n=30, d=2),
+        generate("partite", parts=[6, 6, 6, 6]),
+        generate("random_pure", n=30, d=2, m=900, seed=5),
+    ]
+    families += [_relabeled(X, rng) for X in families]
+
+    def refuse(*args):
+        raise AssertionError("the token route was reached")
+
+    monkeypatch.setattr(cli_io, "_fields", refuse)
+    for X in families:
+        Y = build_complex(X.facets, weight_vector(X, X.top_dim).tolist())
+        _assert_bitwise(parse_complex(write_complex(X)), Y)
+        for k in range(-1, X.top_dim + 1):
+            f = Cochain(X, k, rng.standard_normal(X.n_faces(k)))
+            assert parse_cochain(write_cochain(X, f), X).values.tobytes() == f.values.tobytes()
 
 
 def test_cochain_token_route(c42):

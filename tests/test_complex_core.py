@@ -2,6 +2,7 @@ import ast
 import importlib
 import math
 import pkgutil
+import random
 import re
 from itertools import combinations
 
@@ -211,6 +212,57 @@ def test_build_rejections():
     for weights in ([1e308, 1e308], [1e-200, 1e200], [1e-320, 1.0]):
         with pytest.raises(ComplexError, match="not a normal float"):
             build_complex([(0, 1, 2), (1, 2, 3)], weights)
+
+
+def _faulty_facets(draw):
+    """A seeded facet list with its weights, or None: repeated, negative and
+    dropped vertices, duplicated facets, and weights of the wrong count or
+    not finite, positive or normal."""
+    d = draw.randint(0, 3)
+    facets = [draw.sample(range(-1 if draw.random() < 0.1 else 0, 7), d + 1) for _ in range(draw.randint(1, 8))]
+    for F in facets:
+        edit = draw.random()
+        if edit < 0.08:
+            F.append(F[0])
+        elif edit < 0.14:
+            F.pop()
+        elif edit < 0.18:
+            F[0] = -F[0] - 1
+    if draw.random() < 0.15:
+        facets.append(facets[draw.randrange(len(facets))][::-1])
+    if draw.random() < 0.4:
+        return [tuple(F) for F in facets], None
+    weights = [10.0 ** draw.uniform(-3, 3) for _ in range(len(facets) + draw.choice([0] * 8 + [-1, 1]))]
+    odd = [math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0, 1e-320, 5e-324, 1e308]
+    weights = [draw.choice(odd) if draw.random() < 0.08 else w for w in weights]
+    return [tuple(F) for F in facets], weights
+
+
+def test_build_complex_names_faults_as_the_facet_loop():
+    # build_complex's vertex-rule masks and weight checks name the fault
+    # the facet-by-facet loop names; where the loop passes, only the
+    # closure's duplicate and out-of-range messages remain
+    draw = random.Random(24)
+    messages = set()
+    for _ in range(1000):
+        facets, weights = _faulty_facets(draw)
+        expected = oracle.facet_checks(facets, weights)
+        try:
+            build_complex(facets, weights)
+            got = None
+        except ComplexError as exc:
+            got = str(exc)
+        if expected is None and got is not None:
+            assert got.startswith(("duplicate facet", "facet weights out of range"))
+        else:
+            assert got == expected, (facets, weights)
+        messages.add(got and re.sub(r"\(.*\)", "F", got))
+    assert messages == {
+        None, "face F has repeated vertices", "face F has a negative vertex id",
+        "facets have mixed dimensions", "duplicate facet",
+        "facet_weights length does not match facets", "facet weights must be finite and positive",
+        "facet weights out of range: a weight is not a normal float",
+    }
 
 
 def test_weighted_facets_normalized():
@@ -485,6 +537,21 @@ def test_distinct_values_occurrences_and_inverse(values):
     assert (distinct[1:] > distinct[:-1]).all()
     assert (values[rep] == distinct).all()
     assert (distinct[inverse] == values).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=_heavy_repeats(st.integers(0, 40)), span=st.integers(0, 60))
+def test_distinct_counted_as_sorted(values, span):
+    # keys below a bound near their number are counted, not sorted: the
+    # distinct keys and the inverse are the sort's, and rep names an
+    # occurrence of each
+    values = np.array(values, np.intp)
+    bound = 41 + span
+    distinct, rep, inverse = _distinct(values, bound)
+    expected = _distinct(values)
+    assert np.array_equal(distinct, expected[0]) and distinct.dtype == expected[0].dtype
+    assert np.array_equal(inverse, expected[2])
+    assert (values[rep] == distinct).all()
 
 
 def test_ids_beyond_64_bits():
