@@ -34,6 +34,7 @@ from hdxwalk.theorem_verify import random_mean_zero_cochain
 VIEW_TOL = 1e-12
 WALK_TOL = 1e-10
 LEVEL_TOL = 1e-10
+SIGN_MARGIN = 1e-8  # a reflector sign pivot this far from 0 is not rounding
 
 
 def _random_cochain(X, k, rng):
@@ -632,9 +633,11 @@ def test_complement_edge_cases():
 @given(X=oracle.weighted_pure_complexes())
 def test_complement_property(X):
     # the complement of every level stack: n_k - r orthonormal columns,
-    # orthogonal to the stack, and the complete QR's columns to rounding;
-    # the table's top level spans it (the basis itself is not continuous in
-    # the stack: a reflector's sign flips where its pivot crosses zero)
+    # orthogonal to the stack, and the table's top level spans it; where
+    # every pivot that picks a reflector's sign is well away from rounding,
+    # also the complete QR's columns to rounding (the basis is not
+    # continuous in the stack: a reflector's sign flips where its pivot
+    # crosses zero, and two routes may round a tiny pivot to either side)
     for k in range(-1, X.top_dim + 1):
         Q, T, _ = _scaled_table(X, k)
         n, r = Q.shape
@@ -642,7 +645,8 @@ def test_complement_property(X):
         assert C.shape == (n, n - r)
         assert np.all(np.abs(C.T @ C - np.eye(n - r)) <= 1e-14)
         assert np.all(np.abs(Q.T @ C) <= 1e-14)
-        assert np.all(np.abs(C - oracle.complement_complete(Q)) <= 1e-14)
+        if (np.abs(oracle.presign_pivots(Q[:r])) > SIGN_MARGIN).all():
+            assert np.all(np.abs(C - oracle.complement_complete(Q)) <= 1e-14)
         assert np.all(np.abs(C @ C.T - T @ T.T) <= 1e-14)
 
 
