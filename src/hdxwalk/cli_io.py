@@ -75,10 +75,13 @@ def _read(text):
     the first data line open the file, or if the reader refuses a token or a
     field count or warns, or a vertex rule rejects a face."""
     lines = text.lstrip().split("\n")
-    header, first = (line.split("#", 1)[0].split() for line in (lines[:2] + [""])[:2])
+    header = lines[0].split("#", 1)[0].split()
+    first = lines[1].split("#", 1)[0].split() if len(lines) > 1 else []
+    if len(header) != 2 or header[0] != "dim" or any(c in text for c in _OTHER_BREAKS):
+        return None
     try:
-        d = int(header[1]) if len(header) == 2 and header[0] == "dim" else -2
-        if any(c in text for c in _OTHER_BREAKS) or not first or len(first) - d not in (1, 2):
+        d = int(header[1])
+        if not first or len(first) - d not in (1, 2):  # d+1 or d+2 fields
             return None
         weighted = len(first) == d + 2
         dtype = [("ids", np.int64, (d + 1,)), ("value", float)][: 1 + weighted]
@@ -263,7 +266,7 @@ def _cochain(X, k, faces, values):
 
 def parse_cochain(text, X):
     """Read a cochain over ``X`` (faces not listed get value 0)."""
-    k, faces, values = _read(text) or (-2, None, None)
+    k, faces, values = _read(text) or (-1, None, None)
     if values is not None and k <= X.top_dim and np.isfinite(values).all():
         f = _cochain(X, k, faces, values)
         if f is not None:

